@@ -2,14 +2,16 @@
 
 The pool sampler applies one smoothing round to an empirical sample cloud:
 every new sample is sum_i a_i z_i with a fresh branch draw and z_i resampled
-with replacement from the previous pool.  The tree sampler builds the
+with replacement from the previous pool.  The tree sampler grows the
 weighted branching tree explicitly and is unbiased at finite depth for
-models whose mean matrix has unit spectral radius.
+models whose mean matrix has unit spectral radius.  Both read the model
+from one compiled branch table; a tree is kept as its atom draws per level,
+and the martingale folds the leaf level into the branch sums Y_b.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .matrices import pf_decompose, spectral_radius
 from .models import ModelSpec, expected_n, explicit_atoms, mean_sum_matrix, mu_mean
 
 _TREE_CHUNK = 512
+_ALIVE_BLOCK = 4096
 
 
 @dataclass
@@ -79,12 +82,26 @@ def heavy_tail_pool(spec: ModelSpec, k: int, tail_index: float, seed,
     return SamplePool(dim=spec.dim, samples=w[:, None] * direction[None, :])
 
 
-def _atom_arrays(spec: ModelSpec):
-    """Explicit atoms as (probs, list of (n_b, d, d) stacked branches)."""
+@dataclass(frozen=True)
+class _BranchTable:
+    """A model compiled for the samplers: atom b, with probability probs[b],
+    is the branch mats[offsets[b]:offsets[b] + sizes[b]] summing to sums[b]."""
+
+    probs: np.ndarray    # (B,)
+    mats: np.ndarray     # (M, d, d)
+    sizes: np.ndarray    # (B,)
+    offsets: np.ndarray  # (B,)
+    sums: np.ndarray     # (B, d, d)
+
+
+def _branch_table(spec: ModelSpec) -> _BranchTable:
     atoms = explicit_atoms(spec)
-    probs = np.array([p for p, _ in atoms])
-    branches = [np.stack(br) for _, br in atoms]
-    return probs, branches
+    mats = np.stack([m for _, br in atoms for m in br])
+    sizes = np.array([len(br) for _, br in atoms])
+    offsets = np.cumsum(sizes) - sizes
+    return _BranchTable(probs=np.array([p for p, _ in atoms]), mats=mats,
+                        sizes=sizes, offsets=offsets,
+                        sums=np.add.reduceat(mats, offsets, axis=0))
 
 
 def iterate_pool(spec: ModelSpec, pool: SamplePool, seed) -> SamplePool:
@@ -96,17 +113,17 @@ def iterate_pool(spec: ModelSpec, pool: SamplePool, seed) -> SamplePool:
     if pool.dim != spec.dim:
         raise ValueError("pool dimension does not match the model")
     rng = as_generator(seed)
-    probs, branches = _atom_arrays(spec)
+    table = _branch_table(spec)
     k = pool.size
     old = pool.samples
     new = np.zeros_like(old)
-    atom_idx = rng.choice(len(branches), size=k, p=probs)
-    for b, mats in enumerate(branches):
+    atom_idx = rng.choice(table.probs.size, size=k, p=table.probs)
+    for b, (start, size) in enumerate(zip(table.offsets, table.sizes)):
         rows = np.flatnonzero(atom_idx == b)
         if rows.size == 0:
             continue
         acc = np.zeros((rows.size, spec.dim))
-        for a in mats:
+        for a in table.mats[start:start + size]:
             picks = rng.integers(0, k, size=rows.size)
             acc += old[picks] @ a.T
         new[rows] = acc
@@ -143,72 +160,37 @@ def run_fixed_point(spec: ModelSpec, k: int, rounds: int, init=None, seed=0,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _TreeLevels:
-    """Edge lists of a forest grown level by level.
+def _grow_forest(table: _BranchTable, depth: int, n_trees: int, rng,
+                 node_budget: int) -> list:
+    """Atom draws of a forest grown to `depth`, one array per level below it.
 
-    Level l stores, for every edge from a depth-l node to a depth-(l+1)
-    node, the parent's index inside level l and the index of the edge matrix
-    in `matrix_table`.  Children are ordered so that level l+1 node j is the
-    child created by edge j of level l.
+    Children follow their parents' order and then the branch order, so the
+    leaf level is counted against the budget but never built.
     """
-
-    n_trees: int
-    matrix_table: list
-    edge_parent: list = field(default_factory=list)   # per level: int arrays
-    edge_matrix: list = field(default_factory=list)
-    node_tree: list = field(default_factory=list)     # per level: tree id per node
-
-
-def _grow_forest(spec: ModelSpec, depth: int, n_trees: int, rng,
-                 node_budget: int) -> _TreeLevels:
-    probs, branches = _atom_arrays(spec)
-    table: list = []
-    branch_mat_ids = []
-    for mats in branches:
-        ids = []
-        for a in mats:
-            table.append(a)
-            ids.append(len(table) - 1)
-        branch_mat_ids.append(np.array(ids, dtype=np.int64))
-    branch_sizes = np.array([len(ids) for ids in branch_mat_ids])
-
-    levels = _TreeLevels(n_trees=n_trees, matrix_table=table)
-    tree_of_node = np.arange(n_trees, dtype=np.int64)
-    levels.node_tree.append(tree_of_node)
-    nodes_per_tree = np.ones(n_trees, dtype=np.int64)
-
-    for _ in range(depth):
-        m = tree_of_node.size
-        atom_idx = rng.choice(len(branches), size=m, p=probs)
-        counts = branch_sizes[atom_idx]
-        edge_parent = np.repeat(np.arange(m, dtype=np.int64), counts)
-        starts = np.cumsum(counts) - counts
-        edge_matrix = np.empty(int(counts.sum()), dtype=np.int64)
-        for b, ids in enumerate(branch_mat_ids):
-            rows = np.flatnonzero(atom_idx == b)
-            for j, mid in enumerate(ids):
-                edge_matrix[starts[rows] + j] = mid
-        child_tree = tree_of_node[edge_parent]
-        nodes_per_tree += np.bincount(child_tree, minlength=n_trees)
+    tree = np.arange(n_trees)
+    nodes_per_tree = np.ones(n_trees)
+    levels = []
+    for lvl in range(depth):
+        atom = rng.choice(table.probs.size, size=tree.size, p=table.probs)
+        counts = table.sizes[atom]
+        nodes_per_tree += np.bincount(tree, weights=counts, minlength=n_trees)
         if nodes_per_tree.max(initial=0) > node_budget:
             raise SupercriticalBlowup(
                 f"tree grew past {node_budget} nodes before reaching depth {depth}"
             )
-        levels.edge_parent.append(edge_parent)
-        levels.edge_matrix.append(edge_matrix)
-        levels.node_tree.append(child_tree)
-        tree_of_node = child_tree
+        levels.append(atom)
+        if lvl + 1 < depth:
+            tree = np.repeat(tree, counts)
     return levels
 
 
-def _apply_matrices(table, mat_ids, vecs) -> np.ndarray:
-    """Row i of the result is table[mat_ids[i]] @ vecs[i]."""
-    out = np.empty_like(vecs)
-    for mid in np.unique(mat_ids):
-        sel = mat_ids == mid
-        out[sel] = vecs[sel] @ table[mid].T
-    return out
+def _edges(table: _BranchTable, atom: np.ndarray):
+    """Matrix id of every child edge of a level, and each parent's first edge."""
+    counts = table.sizes[atom]
+    starts = np.cumsum(counts) - counts
+    ids = np.arange(starts[-1] + counts[-1]) + np.repeat(
+        table.offsets[atom] - starts, counts)
+    return ids, starts
 
 
 def martingale_samples(spec: ModelSpec, depth: int, trials: int, seed,
@@ -219,6 +201,10 @@ def martingale_samples(spec: ModelSpec, depth: int, trials: int, seed,
     v is the unit-L1 Perron eigenvector of the mean sum matrix; the sum is
     then a mean-one vector martingale in the depth whenever E[N] times the
     single-matrix mean has unit spectral radius.
+
+    The leaf level is never built: a depth-(n-1) node that draws atom b
+    contributes Y_b v, with Y_b its branch sum.  Each level above is folded
+    into its parents by gathering edge matrices one column at a time.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -230,25 +216,30 @@ def martingale_samples(spec: ModelSpec, depth: int, trials: int, seed,
             )
     budget = resolve_budget(node_budget, DEFAULT_NODE_BUDGET)
     v = pf_decompose(mean_sum_matrix(spec)).right
+    if depth == 0:
+        return np.tile(v, (trials, 1))
+    table = _branch_table(spec)
+    cols = table.mats.transpose(1, 2, 0).copy()  # cols[i, j] = T[:, i, j]
+    leaf_sums = (table.sums @ v).T.copy()         # column b is Y_b v
     out = np.empty((trials, spec.dim))
     n_chunks = (trials + _TREE_CHUNK - 1) // _TREE_CHUNK
     streams = spawn_generators(seed, n_chunks)
     done = 0
     for rng in streams:
         chunk = min(_TREE_CHUNK, trials - done)
-        levels = _grow_forest(spec, depth, chunk, rng, budget)
-        vecs = np.tile(v, (levels.node_tree[depth].size, 1))
-        for lvl in range(depth - 1, -1, -1):
-            contrib = _apply_matrices(levels.matrix_table,
-                                      levels.edge_matrix[lvl], vecs)
-            n_parent = levels.node_tree[lvl].size
-            acc = np.zeros((n_parent, spec.dim))
-            for j in range(spec.dim):
-                acc[:, j] = np.bincount(levels.edge_parent[lvl],
-                                        weights=contrib[:, j],
-                                        minlength=n_parent)
+        levels = _grow_forest(table, depth, chunk, rng, budget)
+        vecs = leaf_sums[:, levels.pop()]  # (d, nodes), one row per coordinate
+        while levels:
+            atom = levels.pop()
+            ids, starts = _edges(table, atom)
+            acc = np.empty((spec.dim, atom.size))
+            for i in range(spec.dim):
+                contrib = cols[i, 0][ids] * vecs[0]
+                for j in range(1, spec.dim):
+                    contrib += cols[i, j][ids] * vecs[j]
+                acc[i] = np.add.reduceat(contrib, starts)
             vecs = acc
-        out[done:done + chunk] = vecs
+        out[done:done + chunk] = vecs.T
         done += chunk
     return out
 
@@ -272,24 +263,32 @@ def survival_counts(spec: ModelSpec, probes, depth: int, seed,
         raise ValueError("probe directions must be nonzero")
     budget = resolve_budget(node_budget, DEFAULT_NODE_BUDGET)
     rng = as_generator(seed)
-    levels = _grow_forest(spec, depth, 1, rng, budget)
+    table = _branch_table(spec)
+    levels = _grow_forest(table, depth, 1, rng, budget)
+    mats_t = table.mats.transpose(0, 2, 1)
 
     thresholds = zero_tol * np.abs(probes).sum(axis=1)
     counts = np.empty((depth + 1, probes.shape[0]), dtype=np.int64)
     # carriers[u] = G_u^T, propagated as G_(ui)^T = A_(ui)^T G_u^T
     carriers = np.eye(spec.dim)[None, :, :]
-    counts[0] = (np.abs(carriers @ probes.T).sum(axis=1) > thresholds).sum(axis=0)
-    for lvl in range(depth):
-        mat_ids = levels.edge_matrix[lvl]
-        parents = levels.edge_parent[lvl]
-        child = np.empty((mat_ids.size, spec.dim, spec.dim))
-        for mid in np.unique(mat_ids):
-            sel = mat_ids == mid
-            child[sel] = levels.matrix_table[mid].T @ carriers[parents[sel]]
-        carriers = child
-        counts[lvl + 1] = (np.abs(carriers @ probes.T).sum(axis=1)
-                           > thresholds).sum(axis=0)
+    counts[0] = _alive_counts(carriers, probes, thresholds)
+    for lvl, atom in enumerate(levels):
+        per_edge = np.repeat(carriers, table.sizes[atom], axis=0)
+        carriers = mats_t[_edges(table, atom)[0]] @ per_edge
+        counts[lvl + 1] = _alive_counts(carriers, probes, thresholds)
     return counts
+
+
+def _alive_counts(carriers, probes, thresholds) -> np.ndarray:
+    """Per probe t, how many carriers C have |C t|_1 > threshold, taken in
+    row blocks so that the (nodes, d, probes) product is never held whole."""
+    n, d, _ = carriers.shape
+    alive = np.zeros(probes.shape[0], dtype=np.int64)
+    for start in range(0, n, _ALIVE_BLOCK):
+        rows = carriers[start:start + _ALIVE_BLOCK].reshape(-1, d)
+        block = np.abs(rows @ probes.T).reshape(-1, d, probes.shape[0])
+        alive += (block.sum(axis=1) > thresholds).sum(axis=0)
+    return alive
 
 
 def count_surviving_directions(spec: ModelSpec, t, depth: int, seed,

@@ -38,6 +38,7 @@ from .diagnostics import (
 )
 from .errors import (
     BudgetExceeded,
+    EmptyTail,
     InsufficientDecay,
     NoConvergence,
     RootNotBracketed,

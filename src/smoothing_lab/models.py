@@ -51,7 +51,7 @@ def _check_prob_list(ps, what: str) -> None:
     ps = np.asarray(ps, dtype=float)
     if ps.size == 0:
         raise ValueError(f"{what}: empty probability list")
-    if np.any(ps <= 0) or np.any(ps > 1):
+    if not np.all((ps > 0) & (ps <= 1)):
         raise ValueError(f"{what}: probabilities must lie in (0, 1]")
     if abs(ps.sum() - 1.0) > _PROB_TOL:
         raise ValueError(f"{what}: probabilities sum to {ps.sum()!r}, not 1")
@@ -115,8 +115,8 @@ class ModelSpec:
                 raise ValueError("ScalarRandomized requires base_branch and scalar_law")
             base = _check_branch(self.base_branch, self.dim, "base branch")
             sl = tuple((float(p), float(x)) for p, x in self.scalar_law)
-            if any(x <= 0 for _, x in sl):
-                raise ValueError("scalar_law values must be positive")
+            if not all(0 < x < np.inf for _, x in sl):
+                raise ValueError("scalar_law values must be positive and finite")
             _check_prob_list([p for p, _ in sl], "scalar_law")
             object.__setattr__(self, "base_branch", base)
             object.__setattr__(self, "scalar_law", sl)

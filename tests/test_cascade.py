@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import smoothing_lab as sl
+from smoothing_lab._common import as_generator, spawn_generators
 from smoothing_lab.errors import SupercriticalBlowup
 
 from conftest import A1, A2
@@ -106,6 +107,50 @@ def test_martingale_depth_one_mean(ex1):
     assert np.all(np.abs(W.mean(axis=0) - v) <= 4 * se + 1e-12)
 
 
+def reference_forest(spec, depth, trials, rng):
+    """Node-by-node loop: each level draws every node's atom with one
+    rng.choice, children follow parent then branch order, and every node
+    carries its tree and its path product G_u.  Returns all levels."""
+    atoms = sl.explicit_atoms(spec)
+    probs = [p for p, _ in atoms]
+    levels = [[(t, np.eye(spec.dim)) for t in range(trials)]]
+    for _ in range(depth):
+        draws = rng.choice(len(atoms), size=len(levels[-1]), p=probs)
+        levels.append([(t, g @ a) for (t, g), b in zip(levels[-1], draws)
+                       for a in atoms[b][1]])
+    return levels
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex3"])
+def test_martingale_matches_reference_loop(name, request):
+    # ex3 mixes branch sizes, so the gather must follow each atom's offset
+    spec = request.getfixturevalue(name)
+    v = sl.pf_decompose(sl.mean_sum_matrix(spec)).right
+    for depth in (1, 2, 5):
+        W = sl.martingale_samples(spec, depth, trials=40, seed=depth,
+                                  check_critical=False)
+        (rng,) = spawn_generators(depth, 1)
+        ref = np.zeros((40, spec.dim))
+        for t, g in reference_forest(spec, depth, 40, rng)[-1]:
+            ref[t] += g @ v
+        assert np.allclose(W, ref, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("name, depth", [("ex2", 8), ("ex3", 10)])
+def test_survival_counts_match_reference_loop(name, depth, request):
+    # ex2 at depth 8 has 6561 leaves, more than one block of the alive test
+    spec = request.getfixturevalue(name)
+    probes = sl.sphere_grid(2, 16)
+    thresholds = 1e-12 * np.abs(probes).sum(axis=1)
+    for seed in range(2):
+        counts = sl.survival_counts(spec, probes, depth, seed=seed)
+        levels = reference_forest(spec, depth, 1, as_generator(seed))
+        for level, row in zip(levels, counts):
+            gt = np.array([g.T for _, g in level])
+            norms = np.abs(gt @ probes.T).sum(axis=1)
+            assert np.array_equal(row, (norms > thresholds).sum(axis=0))
+
+
 def test_martingale_requires_critical_mean(ex3):
     with pytest.raises(ValueError):
         sl.martingale_samples(ex3, depth=3, trials=2, seed=0)
@@ -114,6 +159,14 @@ def test_martingale_requires_critical_mean(ex3):
 def test_martingale_node_budget(ex1):
     with pytest.raises(SupercriticalBlowup):
         sl.martingale_samples(ex1, depth=12, trials=2, seed=0, node_budget=100)
+
+
+def test_martingale_node_budget_counts_leaves(ex1):
+    # depth 3 has 1 + 2 + 4 + 8 = 15 nodes; the leaf level is never built
+    with pytest.raises(SupercriticalBlowup):
+        sl.martingale_samples(ex1, depth=3, trials=1, seed=0, node_budget=14)
+    w = sl.martingale_samples(ex1, depth=3, trials=1, seed=0, node_budget=15)
+    assert w.shape == (1, 2)
 
 
 def test_martingale_deterministic(ex1):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import smoothing_lab as sl
+from smoothing_lab import cli
 from smoothing_lab.cli import main
+from smoothing_lab.errors import EmptyTail
 
 
 def sha(path):
@@ -133,6 +135,23 @@ def test_diagnose_ex2(tmp_path):
     ecf_lines = (tmp_path / "diag_ecf.csv").read_text().splitlines()
     assert ecf_lines[0] == "radius,sup_modulus,stderr"
     assert len(ecf_lines) == 14  # exponents 0..12
+
+
+def test_diagnose_empty_tail_gives_null(tmp_path, monkeypatch):
+    pool_path = tmp_path / "pool.csv"
+    assert main(["simulate", "--model", "ex2", "--k", "1000", "--rounds",
+                 "5", "--seed", "12", "--out", str(pool_path)]) == 0
+
+    def empty_tail(*args, **kwargs):
+        raise EmptyTail("no sample at or below the largest epsilon")
+
+    monkeypatch.setattr(cli, "small_ball_exponent", empty_tail)
+    prefix = tmp_path / "diag"
+    assert main(["diagnose", "--model", "ex2", "--pool", str(pool_path),
+                 "--seed", "13", "--out-prefix", str(prefix),
+                 "--probes", "8", "--max-exp", "4"]) == 0
+    summary = json.loads((tmp_path / "diag_summary.json").read_text())
+    assert summary["a0_smallball"] is None
 
 
 def test_check_exits_zero_on_examples(capsys):

@@ -117,6 +117,24 @@ def test_validation_rejects_bad_specs():
                      mu_atoms=((1.0, A1),))
 
 
+@pytest.mark.parametrize("name, field, key, bad", [
+    ("ex1", "mu_atoms", "prob", "NaN"),
+    ("ex1", "n_law", "prob", "NaN"),
+    ("ex3", "atoms", "prob", "NaN"),
+    ("ex2", "scalar_law", "prob", "NaN"),
+    ("ex2", "scalar_law", "value", "NaN"),
+    ("ex2", "scalar_law", "value", "Infinity"),
+])
+def test_load_rejects_non_finite(tmp_path, name, field, key, bad):
+    # JSON NaN and Infinity parse to floats, so validation must catch them
+    data = json.loads(sl.example_path(name).read_text())
+    data[field][0][key] = "BAD"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data).replace('"BAD"', bad))
+    with pytest.raises(ValueError):
+        sl.load_model(path)
+
+
 def test_furstenberg_kesten(ex1, ex2, ex3):
     assert sl.check_furstenberg_kesten(ex3) == (True, pytest.approx(2.0))
     assert sl.check_furstenberg_kesten(ex1) == (True, pytest.approx(2.0))
