@@ -152,7 +152,6 @@ def cmd_simulate(args) -> int:
             "init": None if init is None else init.tolist(),
             "init_tail_index": args.init_tail_index,
             "mean_norm_history": [float(h) for h in history],
-            "threads": args.threads,
         },
         output_paths=[str(out)],
     )
@@ -193,7 +192,6 @@ def cmd_spectrum(args) -> int:
             "s_grid": profile.s_grid.tolist(), "chain_n": args.chain_n,
             "trials": args.trials, "lyap_n": args.lyap_n,
             "lyap_trials": args.lyap_trials, "grid_size": args.grid_size,
-            "threads": args.threads,
         },
         output_paths=[str(csv_path), str(json_path)],
     ).write(prefix.with_suffix(".manifest.json"))
@@ -302,8 +300,8 @@ def cmd_diagnose(args) -> int:
     RunManifest(
         command="diagnose", model_path=model_path, seed=args.seed,
         parameters={"pool": args.pool, "probes": args.probes,
-                    "max_exp": args.max_exp, "harmonic_b": list(args.harmonic_b),
-                    "threads": args.threads},
+                    "max_exp": args.max_exp,
+                    "harmonic_b": list(args.harmonic_b)},
         output_paths=[str(curve_path), str(kc_path), str(json_path)],
     ).write(prefix.with_name(prefix.name + ".manifest.json"))
     return 0
@@ -371,11 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_threads(p):
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap worker parallelism (results do not depend "
-                            "on this value)")
-
     p = sub.add_parser("simulate", help="population-dynamics pool snapshot")
     p.add_argument("--model", required=True,
                    help=f"model JSON path or one of {', '.join(EXAMPLE_NAMES)}")
@@ -389,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-tail-index", type=float, default=None,
                    help="start from a Pareto pool with this tail index "
                         "(for models whose mean matrix is subcritical)")
-    add_threads(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("spectrum", help="spectral curves and exponents")
@@ -404,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-size", type=int, default=512)
     p.add_argument("--alpha-tol", type=float, default=1e-3)
     p.add_argument("--require-alpha", action="store_true")
-    add_threads(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("support", help="semigroup directions, cones, witnesses")
@@ -425,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-exp", type=int, default=14,
                    help="largest dyadic radius exponent")
     p.add_argument("--harmonic-b", type=float, nargs="+", default=[0.5, 1.5])
-    add_threads(p)
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("check", help="run the model-condition checkers")

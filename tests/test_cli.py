@@ -213,8 +213,7 @@ def test_every_subcommand_runs_on_every_example(tmp_path):
     for name in ("ex1", "ex2", "ex3"):
         pool_path = tmp_path / f"{name}.csv"
         assert main(["simulate", "--model", name, "--k", "4000", "--rounds",
-                     "20", "--seed", "41", "--out", str(pool_path),
-                     "--threads", "2"]) == 0
+                     "20", "--seed", "41", "--out", str(pool_path)]) == 0
         assert main(["spectrum", "--model", name, "--seed", "42",
                      "--out-prefix", str(tmp_path / f"{name}_spec"),
                      "--s-grid", "0.5,1.0", "--chain-n", "10",

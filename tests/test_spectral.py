@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import brentq
 
 import smoothing_lab as sl
+from smoothing_lab._common import spawn_generators
 from smoothing_lab.errors import (
     FurstenbergKestenViolated,
     NoSingletonBranch,
@@ -38,8 +39,8 @@ def test_kappa_second_moment_rank_one(ex1):
 
 
 def test_m_of_s(ex1, ex2):
-    m0, se0 = sl.m_of_s(ex1, 0.0, n=5, trials=10, seed=0)
-    assert m0 == 2.0 and se0 == 0.0
+    k0, se0 = sl.kappa_estimate(ex1, 0.0, n=5, trials=10, seed=0)
+    assert sl.expected_n(ex1) * k0 == 2.0 and sl.expected_n(ex1) * se0 == 0.0
     assert sl.expected_n(ex2) * sl.kappa_one_exact(ex2) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -68,6 +69,29 @@ def test_lyapunov_below_kappa_curve(ex1):
     for i, s in enumerate((0.5, 1.0, 1.5)):
         value, kse = sl.kappa_estimate(ex1, s, n=50, trials=20_000, seed=100 + i)
         assert gamma - 3 * gse <= np.log(value) / s + 3 * kse / value
+
+
+@pytest.mark.parametrize("estimator, name, s, n", [
+    ("kappa_estimate", "ex3", -1.5, 2048),
+    ("kappa_estimate", "ex3", -1.5, 512),
+    ("kappa_estimate", "ex1", 4.0, 2048),
+    ("kappa_tilde_chain", "ex3", -1.5, 2048),
+])
+def test_chain_moments_finite_at_extreme_orders(estimator, name, s, n):
+    # |s * log||chain||| runs far past 709, where exp overflows or underflows
+    value, stderr = getattr(sl, estimator)(sl.example_model(name), s, n=n,
+                                           trials=2000, seed=0)
+    assert np.isfinite(value) and value > 0
+    assert np.isfinite(stderr) and stderr > 0
+
+
+def test_kappa_estimate_sequence_shares_chains(ex1):
+    orders = [-0.5, 0.0, 1.0, 2.0]
+    values, errs = sl.kappa_estimate(ex1, orders, n=20, trials=3000, seed=9)
+    assert values[1] == 1.0 and errs[1] == 0.0
+    for i, s in enumerate(orders):
+        single = sl.kappa_estimate(ex1, s, n=20, trials=3000, seed=9)
+        assert single == pytest.approx((values[i], errs[i]), rel=1e-12)
 
 
 def test_log_convexity_of_kappa(ex1):
@@ -115,7 +139,7 @@ def test_find_alpha_not_found():
 
 def test_transfer_apply_order_zero(ex3):
     disc = sl.discretize_transfer(ex3, 0.0, grid_size=64)
-    out = sl.transfer_apply(ex3, 0.0, disc, np.ones(64))
+    out = disc.operator_matrix @ np.ones(64)
     assert out == pytest.approx(np.ones(64), abs=1e-12)
 
 
@@ -123,7 +147,7 @@ def test_transfer_apply_example_value(ex3):
     # order -1 at v = (1/2, 1/2): 0.5 (|a1 v|^-1 + |a2 v|^-1) with L1 image
     # norms 0.4 and 0.6, i.e. 25/12 (direct matrix-vector arithmetic)
     disc = sl.discretize_transfer(ex3, -1.0, grid_size=257)
-    out = sl.transfer_apply(ex3, -1.0, disc, np.ones(257))
+    out = disc.operator_matrix @ np.ones(257)
     k = 128  # grid midpoint (1/2, 1/2)
     assert disc.grid[k] == pytest.approx([0.5, 0.5], abs=1e-12)
     assert out[k] == pytest.approx(25.0 / 12.0, abs=1e-12)
@@ -138,8 +162,34 @@ def test_transfer_scalar_atom():
     )
     disc = sl.discretize_transfer(spec, -1.0, grid_size=33)
     f = np.linspace(1.0, 2.0, 33)
-    out = sl.transfer_apply(spec, -1.0, disc, f)
+    out = disc.operator_matrix @ f
     assert out == pytest.approx(f / c, abs=1e-9)
+
+
+B0 = np.array([[0.3, 0.1, 0.2], [0.1, 0.4, 0.1], [0.2, 0.1, 0.2]])
+B1 = np.array([[0.1, 0.5, 0.1], [0.3, 0.1, 0.2], [0.1, 0.2, 0.4]])
+B2 = np.array([[0.2, 0.2, 0.3], [0.2, 0.3, 0.1], [0.3, 0.1, 0.1]])
+
+
+@pytest.mark.parametrize("grid_size", [33, 256])
+@pytest.mark.parametrize("s", [-1.0, 0.5])
+def test_transfer_exact_on_affine_functions_3d(s, grid_size):
+    # linear interpolation reproduces affine grid functions f(v) = c . v, so
+    # the gridded operator must equal the finite-atom expectation pointwise
+    spec = sl.ModelSpec(
+        dim=3, kind="ExplicitAtoms",
+        atoms=((0.3, (B0,)), (0.2, (B1,)), (0.5, (B0, B1, B2))),
+    )
+    c = np.array([1.0, -2.0, 0.5])
+    disc = sl.discretize_transfer(spec, s, grid_size=grid_size)
+    grid = disc.grid
+    assert grid.shape[0] >= grid_size
+    exact = np.zeros(grid.shape[0])
+    for p, a in ((0.6, B0), (0.4, B1)):
+        img = grid @ a.T
+        norms = img.sum(axis=1)
+        exact += p * norms**s * ((img / norms[:, None]) @ c)
+    assert disc.operator_matrix @ (grid @ c) == pytest.approx(exact, abs=1e-12)
 
 
 def test_transfer_requires_singleton_branch(ex1):
@@ -233,3 +283,18 @@ def test_spectral_profile_fields(ex3):
     assert profile.a0 == pytest.approx(0.9457899479870234, abs=1e-6)
     assert set(profile.kappa_tilde) == {-1.0, -0.5, 0.0}
     assert profile.gamma < 0
+
+
+def test_spectral_profile_shares_chains_across_orders(ex1):
+    # on one chain set, n log kappa_hat(s) = log mean exp(s L) is convex in s
+    # (Hoelder), up to rounding; independent chains per order are not
+    s_grid = np.arange(-1.0, 2.01, 0.25)
+    n, seed = 30, 83
+    profile = sl.spectral_profile(
+        ex1, s_grid=s_grid, chain_n=n, chain_trials=2000, lyap_n=100,
+        lyap_trials=500, seed=seed,
+    )
+    assert np.diff(n * np.log(profile.kappa), 2).min() >= -1e-12
+    stream = spawn_generators(seed, len(s_grid) + 2)[-2]
+    gamma, gse = sl.lyapunov_estimate(ex1, 100, 500, stream)
+    assert profile.gamma == gamma and profile.gamma_stderr == gse
