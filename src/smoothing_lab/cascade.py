@@ -4,9 +4,10 @@ The pool sampler applies one smoothing round to an empirical sample cloud:
 every new sample is sum_i a_i z_i with a fresh branch draw and z_i resampled
 with replacement from the previous pool.  The tree sampler grows the
 weighted branching tree explicitly and is unbiased at finite depth for
-models whose mean matrix has unit spectral radius.  Both read the model
-from one compiled branch table; a tree is kept as its atom draws per level,
-and the martingale folds the leaf level into the branch sums Y_b.
+models whose mean matrix has unit spectral radius.  Both read the model's
+compiled branch table and sum child values into their parents with one
+edge fold; a tree is kept as its atom draws per level, and the martingale
+folds the leaf level into the branch sums Y_b.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from ._common import (
 )
 from .errors import SupercriticalBlowup
 from .matrices import pf_decompose, spectral_radius
-from .models import ModelSpec, expected_n, explicit_atoms, mean_sum_matrix, mu_mean
+from .models import BranchTable, ModelSpec, expected_n, mean_sum_matrix, mu_mean
 
 _TREE_CHUNK = 512
 _ALIVE_BLOCK = 4096
@@ -82,28 +83,6 @@ def heavy_tail_pool(spec: ModelSpec, k: int, tail_index: float, seed,
     return SamplePool(dim=spec.dim, samples=w[:, None] * direction[None, :])
 
 
-@dataclass(frozen=True)
-class _BranchTable:
-    """A model compiled for the samplers: atom b, with probability probs[b],
-    is the branch mats[offsets[b]:offsets[b] + sizes[b]] summing to sums[b]."""
-
-    probs: np.ndarray    # (B,)
-    mats: np.ndarray     # (M, d, d)
-    sizes: np.ndarray    # (B,)
-    offsets: np.ndarray  # (B,)
-    sums: np.ndarray     # (B, d, d)
-
-
-def _branch_table(spec: ModelSpec) -> _BranchTable:
-    atoms = explicit_atoms(spec)
-    mats = np.stack([m for _, br in atoms for m in br])
-    sizes = np.array([len(br) for _, br in atoms])
-    offsets = np.cumsum(sizes) - sizes
-    return _BranchTable(probs=np.array([p for p, _ in atoms]), mats=mats,
-                        sizes=sizes, offsets=offsets,
-                        sums=np.add.reduceat(mats, offsets, axis=0))
-
-
 def iterate_pool(spec: ModelSpec, pool: SamplePool, seed) -> SamplePool:
     """One smoothing round over the pool; deterministic given the seed.
 
@@ -113,20 +92,12 @@ def iterate_pool(spec: ModelSpec, pool: SamplePool, seed) -> SamplePool:
     if pool.dim != spec.dim:
         raise ValueError("pool dimension does not match the model")
     rng = as_generator(seed)
-    table = _branch_table(spec)
+    table = spec.branch_table
     k = pool.size
-    old = pool.samples
-    new = np.zeros_like(old)
-    atom_idx = rng.choice(table.probs.size, size=k, p=table.probs)
-    for b, (start, size) in enumerate(zip(table.offsets, table.sizes)):
-        rows = np.flatnonzero(atom_idx == b)
-        if rows.size == 0:
-            continue
-        acc = np.zeros((rows.size, spec.dim))
-        for a in table.mats[start:start + size]:
-            picks = rng.integers(0, k, size=rows.size)
-            acc += old[picks] @ a.T
-        new[rows] = acc
+    atom = rng.choice(table.probs.size, size=k, p=table.probs)
+    ids, starts = _edges(table, atom)
+    picks = rng.integers(0, k, size=ids.size)
+    new = _fold(table, ids, starts, np.take(pool.samples.T, picks, axis=1)).T
     return SamplePool(dim=spec.dim, samples=new, generation=pool.generation + 1)
 
 
@@ -160,7 +131,7 @@ def run_fixed_point(spec: ModelSpec, k: int, rounds: int, init=None, seed=0,
 # ---------------------------------------------------------------------------
 
 
-def _grow_forest(table: _BranchTable, depth: int, n_trees: int, rng,
+def _grow_forest(table: BranchTable, depth: int, n_trees: int, rng,
                  node_budget: int) -> list:
     """Atom draws of a forest grown to `depth`, one array per level below it.
 
@@ -184,13 +155,32 @@ def _grow_forest(table: _BranchTable, depth: int, n_trees: int, rng,
     return levels
 
 
-def _edges(table: _BranchTable, atom: np.ndarray):
+def _edges(table: BranchTable, atom: np.ndarray):
     """Matrix id of every child edge of a level, and each parent's first edge."""
     counts = table.sizes[atom]
     starts = np.cumsum(counts) - counts
     ids = np.arange(starts[-1] + counts[-1]) + np.repeat(
         table.offsets[atom] - starts, counts)
     return ids, starts
+
+
+def _fold(table: BranchTable, ids: np.ndarray, starts: np.ndarray,
+          child: np.ndarray) -> np.ndarray:
+    """Per parent, the sum over its edges e of mats[ids[e]] @ child[:, e].
+
+    child holds one column per edge and the result one column per parent.
+    Edge matrices are gathered one entry at a time, so no (E, d, d) array
+    is built.
+    """
+    d = child.shape[0]
+    cols = table.mats.transpose(1, 2, 0).copy()  # cols[i, j] = mats[:, i, j]
+    out = np.empty((d, starts.size))
+    for i in range(d):
+        contrib = cols[i, 0][ids] * child[0]
+        for j in range(1, d):
+            contrib += cols[i, j][ids] * child[j]
+        out[i] = np.add.reduceat(contrib, starts)
+    return out
 
 
 def martingale_samples(spec: ModelSpec, depth: int, trials: int, seed,
@@ -204,7 +194,7 @@ def martingale_samples(spec: ModelSpec, depth: int, trials: int, seed,
 
     The leaf level is never built: a depth-(n-1) node that draws atom b
     contributes Y_b v, with Y_b its branch sum.  Each level above is folded
-    into its parents by gathering edge matrices one column at a time.
+    into its parents by the same edge gather as the pool round.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -218,8 +208,7 @@ def martingale_samples(spec: ModelSpec, depth: int, trials: int, seed,
     v = pf_decompose(mean_sum_matrix(spec)).right
     if depth == 0:
         return np.tile(v, (trials, 1))
-    table = _branch_table(spec)
-    cols = table.mats.transpose(1, 2, 0).copy()  # cols[i, j] = T[:, i, j]
+    table = spec.branch_table
     leaf_sums = (table.sums @ v).T.copy()         # column b is Y_b v
     out = np.empty((trials, spec.dim))
     n_chunks = (trials + _TREE_CHUNK - 1) // _TREE_CHUNK
@@ -230,15 +219,8 @@ def martingale_samples(spec: ModelSpec, depth: int, trials: int, seed,
         levels = _grow_forest(table, depth, chunk, rng, budget)
         vecs = leaf_sums[:, levels.pop()]  # (d, nodes), one row per coordinate
         while levels:
-            atom = levels.pop()
-            ids, starts = _edges(table, atom)
-            acc = np.empty((spec.dim, atom.size))
-            for i in range(spec.dim):
-                contrib = cols[i, 0][ids] * vecs[0]
-                for j in range(1, spec.dim):
-                    contrib += cols[i, j][ids] * vecs[j]
-                acc[i] = np.add.reduceat(contrib, starts)
-            vecs = acc
+            ids, starts = _edges(table, levels.pop())
+            vecs = _fold(table, ids, starts, vecs)
         out[done:done + chunk] = vecs.T
         done += chunk
     return out
@@ -263,7 +245,7 @@ def survival_counts(spec: ModelSpec, probes, depth: int, seed,
         raise ValueError("probe directions must be nonzero")
     budget = resolve_budget(node_budget, DEFAULT_NODE_BUDGET)
     rng = as_generator(seed)
-    table = _branch_table(spec)
+    table = spec.branch_table
     levels = _grow_forest(table, depth, 1, rng, budget)
     mats_t = table.mats.transpose(0, 2, 1)
 

@@ -206,7 +206,7 @@ def cmd_support(args) -> int:
         "length": args.length,
         "lambda_directions": [v.tolist() for v, _ in dirs],
         "lambda_words": [list(w) for _, w in dirs],
-        "lambda_stable": lambda_stability(spec, args.length),
+        "lambda_stable": lambda_stability(enum),
         "allowability": check_allowability(enum),
         "positivity": check_positivity(enum),
     }

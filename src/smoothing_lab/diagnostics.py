@@ -12,7 +12,7 @@ import numpy as np
 
 from ._common import as_generator
 from .errors import EmptyTail, InsufficientDecay
-from .models import ModelSpec, explicit_atoms
+from .models import ModelSpec
 
 _PROBE_STREAM = 0xD1A6005E
 
@@ -150,26 +150,18 @@ class KillCountStats:
 _ZERO_TOL = 1e-12
 
 
-def _branch_counts(branch, t: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """#{i : |A_i^T t| > delta |t|} for one branch, per delta.
-
-    At delta = 0 the comparison uses a relative dust threshold so that probe
-    directions carrying one-ulp rounding noise still register exact kernel
-    hits (matching the tree counter's zero test).
-    """
-    scale = np.abs(t).sum()
-    vals = np.array([np.abs(a.T @ t).sum() for a in branch])
-    thresholds = np.maximum(deltas, _ZERO_TOL) * scale
-    return (vals[:, None] > thresholds[None, :]).sum(axis=0)
-
-
 def kill_counts(spec: ModelSpec, t_grid, delta_grid, trials: int | None = None,
                 seed=0) -> KillCountStats:
     """Survival-count statistics; exact finite-atom law by default.
 
-    Passing `trials` switches to Monte Carlo over branch draws (useful as a
-    cross-check of the exact path).  Probes may carry negative entries; the
-    counts are invariant under positive scaling of each probe.
+    The count of a branch at probe t and threshold delta is
+    #{i : |A_i^T t| > delta |t|}.  At delta = 0 the comparison uses a
+    relative dust threshold so that probe directions carrying one-ulp
+    rounding noise still register exact kernel hits (matching the tree
+    counter's zero test).  Passing `trials` switches to Monte Carlo over
+    branch draws (useful as a cross-check of the exact path).  Probes may
+    carry negative entries; the counts are invariant under positive scaling
+    of each probe.
     """
     t_grid = np.atleast_2d(np.asarray(t_grid, dtype=float))
     delta_grid = np.asarray(delta_grid, dtype=float)
@@ -180,22 +172,27 @@ def kill_counts(spec: ModelSpec, t_grid, delta_grid, trials: int | None = None,
     if not t_grid.any(axis=1).all():
         raise ValueError("probes must be nonzero")
 
-    atoms = explicit_atoms(spec)
-    if trials is not None:
-        from .models import sample_branch
-
+    table = spec.branch_table
+    vals = np.abs(np.matmul(t_grid[None], table.mats)).sum(axis=2)  # (M, P)
+    thresholds = (np.maximum(delta_grid, _ZERO_TOL)[None, :]
+                  * np.abs(t_grid).sum(axis=1)[:, None])            # (P, D)
+    alive = (vals[:, :, None] > thresholds[None]).astype(np.int64)
+    per_atom = np.add.reduceat(alive, table.offsets, axis=0)        # (B, P, D)
+    if trials is None:
+        weights = table.probs.tolist()
+    else:
         rng = as_generator(seed)
-        draws = [sample_branch(spec, rng).matrices for _ in range(trials)]
-        atoms = [(1.0 / trials, list(br)) for br in draws]
+        per_atom = per_atom[rng.choice(table.probs.size, size=trials,
+                                       p=table.probs)]
+        weights = [1.0 / trials] * trials
 
     counts: list = []
     means = np.zeros((t_grid.shape[0], delta_grid.size))
-    for i, t in enumerate(t_grid):
+    for i in range(t_grid.shape[0]):
         laws = [dict() for _ in range(delta_grid.size)]
-        for p, br in atoms:
-            c = _branch_counts(br, t, delta_grid)
-            for j, cj in enumerate(c):
-                laws[j][int(cj)] = laws[j].get(int(cj), 0.0) + p
+        for p, row in zip(weights, per_atom[:, i].tolist()):
+            for law, c in zip(laws, row):
+                law[c] = law.get(c, 0.0) + p
         counts.append(laws)
         means[i] = [sum(k * q for k, q in law.items()) for law in laws]
     return KillCountStats(t_grid=t_grid, delta_grid=delta_grid,

@@ -66,14 +66,6 @@ def spectral_radius(a) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
-def general_spectral_radius(q) -> float:
-    """Spectral radius of an arbitrary (possibly signed) square matrix."""
-    q = np.asarray(q, dtype=float)
-    if not q.any():
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(q))))
-
-
 def primitivity_index(a) -> int | None:
     """Smallest k with a^k > 0, searched up to the Wielandt bound; None if absent."""
     a = check_nonneg_matrix(a)

@@ -12,9 +12,12 @@ Three declaration styles are supported:
 
 Everything downstream (exact expectations, conditional laws, samplers) works
 through this module so that the finite-atom arithmetic stays in one place.
+Readers of branch realizations share one compiled ``BranchTable`` per model,
+built on first use.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -72,6 +75,22 @@ def _check_branch(branch, dim: int, what: str) -> tuple:
 
 
 @dataclass(frozen=True)
+class BranchTable:
+    """The joint branch law compiled into arrays: atom b, with probability
+    probs[b], is the branch mats[offsets[b]:offsets[b] + sizes[b]] summing to
+    sums[b].  The arrays are read-only, since every reader shares them."""
+
+    probs: np.ndarray    # (B,)
+    mats: np.ndarray     # (M, d, d)
+    sizes: np.ndarray    # (B,)
+    offsets: np.ndarray  # (B,)
+    sums: np.ndarray     # (B, d, d)
+
+    def branch(self, b: int) -> np.ndarray:
+        return self.mats[self.offsets[b]:self.offsets[b] + self.sizes[b]]
+
+
+@dataclass(frozen=True)
 class ModelSpec:
     """Validated finite-atom description of the branch law."""
 
@@ -124,6 +143,20 @@ class ModelSpec:
         if not en > 1.0:
             raise ValueError(f"E[N] = {en} must exceed 1")
 
+    @functools.cached_property
+    def branch_table(self) -> BranchTable:
+        """The compiled branch law, expanded once on first use."""
+        atoms = explicit_atoms(self)
+        mats = np.stack([m for _, br in atoms for m in br])
+        sizes = np.array([len(br) for _, br in atoms])
+        offsets = np.cumsum(sizes) - sizes
+        table = BranchTable(probs=np.array([p for p, _ in atoms]), mats=mats,
+                            sizes=sizes, offsets=offsets,
+                            sums=np.add.reduceat(mats, offsets, axis=0))
+        for a in vars(table).values():
+            a.flags.writeable = False
+        return table
+
 
 def expected_n(spec: ModelSpec) -> float:
     if spec.kind == KIND_EXPLICIT:
@@ -163,20 +196,14 @@ def explicit_atoms(spec: ModelSpec, max_atoms: int | None = None) -> list:
 def sample_branch(spec: ModelSpec, seed) -> BranchSample:
     """Draw one branch realization; deterministic given the seed."""
     rng = as_generator(seed)
-    if spec.kind == KIND_EXPLICIT:
-        probs = [p for p, _ in spec.atoms]
-        _, branch = spec.atoms[rng.choice(len(spec.atoms), p=probs)]
-        mats = tuple(branch)
-    elif spec.kind == KIND_IID:
+    if spec.kind == KIND_IID:
         n = spec.n_law[rng.choice(len(spec.n_law), p=[p for _, p in spec.n_law])][0]
         mu_p = [p for p, _ in spec.mu_atoms]
         idx = rng.choice(len(spec.mu_atoms), size=n, p=mu_p)
         mats = tuple(spec.mu_atoms[i][1] for i in idx)
     else:
-        _, x = spec.scalar_law[
-            rng.choice(len(spec.scalar_law), p=[p for p, _ in spec.scalar_law])
-        ]
-        mats = tuple(x * m for m in spec.base_branch)
+        table = spec.branch_table
+        mats = tuple(table.branch(rng.choice(table.probs.size, p=table.probs)))
     return BranchSample(n=len(mats), matrices=mats)
 
 
@@ -218,11 +245,10 @@ def mu_atom_law(spec: ModelSpec) -> list:
     if spec.kind == KIND_IID:
         return [(p, m) for p, m in spec.mu_atoms]
     en = expected_n(spec)
-    pairs = []
-    for p, br in explicit_atoms(spec):
-        for m in br:
-            pairs.append((p / en, m))
-    return _merge_weighted(pairs)
+    table = spec.branch_table
+    return _merge_weighted([(table.probs[b] / en, m)
+                            for b in range(table.probs.size)
+                            for m in table.branch(b)])
 
 
 def mu_support(spec: ModelSpec) -> list:
@@ -248,19 +274,9 @@ def conditioned_a1_atoms(spec: ModelSpec) -> list:
         raise NoSingletonBranch("P[N = 1] = 0 for this model")
     if spec.kind == KIND_IID:
         return [(p, m) for p, m in spec.mu_atoms]
-    if spec.kind == KIND_SCALAR:
-        return [(p, x * spec.base_branch[0]) for p, x in spec.scalar_law]
-    pairs = [(p / p1, br[0]) for p, br in spec.atoms if len(br) == 1]
-    return _merge_weighted(pairs)
-
-
-def a1_marginal_atoms(spec: ModelSpec) -> list:
-    """Unconditional law of A_1 (the first branch matrix)."""
-    if spec.kind == KIND_IID:
-        return [(p, m) for p, m in spec.mu_atoms]
-    if spec.kind == KIND_SCALAR:
-        return [(p, x * spec.base_branch[0]) for p, x in spec.scalar_law]
-    return _merge_weighted([(p, br[0]) for p, br in spec.atoms])
+    table = spec.branch_table
+    return _merge_weighted([(table.probs[b] / p1, table.mats[table.offsets[b]])
+                            for b in np.flatnonzero(table.sizes == 1)])
 
 
 def check_furstenberg_kesten(spec: ModelSpec) -> tuple:
@@ -269,8 +285,13 @@ def check_furstenberg_kesten(spec: ModelSpec) -> tuple:
     c is the smallest admissible constant over atoms; infinity when some
     realization has a zero entry.
     """
+    if spec.kind == KIND_IID:
+        firsts = [m for _, m in spec.mu_atoms]
+    else:
+        table = spec.branch_table
+        firsts = table.mats[table.offsets]
     worst = 1.0
-    for _, m in a1_marginal_atoms(spec):
+    for m in firsts:
         if np.any(m <= 0):
             return False, float("inf")
         worst = max(worst, float(m.max() / m.min()))
@@ -294,10 +315,10 @@ def check_iid_coefficients(spec: ModelSpec, tol: float = 1e-9) -> bool:
                 return q
         return None
 
-    atoms = explicit_atoms(spec)
+    table = spec.branch_table
     by_n: dict = {}
-    for p, br in atoms:
-        by_n.setdefault(len(br), []).append((p, br))
+    for b, p in enumerate(table.probs):
+        by_n.setdefault(table.sizes[b], []).append((p, table.branch(b)))
     for n, group in by_n.items():
         pn = sum(p for p, _ in group)
         for p, br in group:

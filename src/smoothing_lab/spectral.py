@@ -68,23 +68,30 @@ def _chain_log_norms(law, n: int, trials: int, seed) -> np.ndarray:
     return logscale + np.log(norms)
 
 
+def _log_mean_exp(x: np.ndarray):
+    """(log of the mean of exp(x), exp(x - shift), mean of the latter) along
+    the last axis.  The shift is the maximum, so no order overflows or
+    underflows."""
+    shift = x.max(axis=-1, keepdims=True)
+    w = np.exp(x - shift)
+    mean = w.mean(axis=-1)
+    return shift[..., 0] + np.log(mean), w, mean
+
+
 def _chain_moments(law_of, spec: ModelSpec, s, n: int, trials: int, seed):
     """(growth rate, stderr) of E||chain||^s for one order or a sequence.
 
-    The mean of exp(s log||chain||) is taken with a max-shift, so no order
-    overflows or underflows; the delta-method stderr uses the shift-invariant
-    ratio sd / mean.  Order 0 is (1, 0) exactly.
+    The mean of exp(s log||chain||) is taken in the log domain; the
+    delta-method stderr uses the shift-invariant ratio sd / mean.  Order 0
+    is (1, 0) exactly.
     """
     if np.ndim(s) == 0 and s == 0.0:
         return 1.0, 0.0
     orders = np.atleast_1d(np.asarray(s, dtype=float))
     logs = _chain_log_norms(law_of(spec), n, trials, seed)
-    x = orders[:, None] * logs
-    shift = x.max(axis=1)
-    w = np.exp(x - shift[:, None])
-    mean = w.mean(axis=1)
+    log_mean, w, mean = _log_mean_exp(orders[:, None] * logs)
     ratio = w.std(axis=1, ddof=1) / mean if trials > 1 else np.zeros_like(mean)
-    value = np.exp((shift + np.log(mean)) / n)
+    value = np.exp(log_mean / n)
     stderr = value * ratio / (n * np.sqrt(trials))
     value[orders == 0.0], stderr[orders == 0.0] = 1.0, 0.0
     if np.ndim(s) == 0:
@@ -133,7 +140,7 @@ def find_alpha(spec: ModelSpec, tol: float = 1e-3, *, n: int = 64,
     def m_hat(s: float) -> float:
         if s == 0.0:
             return en
-        return en * float(np.exp(s * logs).mean()) ** (1.0 / n)
+        return en * float(np.exp(_log_mean_exp(s * logs)[0] / n))
 
     def slope_ok(s: float) -> bool:
         lo = max(s - slope_step, s_min / 2)

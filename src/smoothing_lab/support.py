@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import DEFAULT_ELEMENT_BUDGET, resolve_budget
+from ._common import DEFAULT_ELEMENT_BUDGET, charge_budget, resolve_budget
 from .errors import NegativeInput, OutOfRange, WitnessNotFound
 from .matrices import pf_decompose, spectral_radius
-from .models import ModelSpec, explicit_atoms, mu_support
+from .models import ModelSpec, mu_support
 
 MATRIX_DEDUP_TOL = 1e-12
 DIRECTION_DEDUP_TOL = 1e-10
@@ -38,7 +38,9 @@ def enumerate_semigroup(spec_or_generators, max_length: int,
 
     Accepts a model (generators are the distinct single-matrix atoms) or an
     explicit list of matrices.  Words are recorded for the first
-    representative of each distinct matrix.
+    representative of each distinct matrix.  A product P is known when some
+    stored element E has max|E - P| <= MATRIX_DEDUP_TOL * max|P|, so the
+    result does not depend on the scale of the generators.
     """
     if max_length < 0:
         raise ValueError("max_length must be >= 0")
@@ -52,32 +54,30 @@ def enumerate_semigroup(spec_or_generators, max_length: int,
     budget = resolve_budget(max_elements, DEFAULT_ELEMENT_BUDGET)
 
     words = [()]
-    elements = [np.eye(d)]
     frontier = [((), np.eye(d))]
-
-    def known(m) -> bool:
-        return any(np.abs(m - e).max() < MATRIX_DEDUP_TOL for e in elements)
-
-    from ._common import charge_budget
+    stack = np.eye(d)[None]   # element i, of word i, is stack[i]; doubled when full
 
     for _ in range(max_length):
         new_frontier = []
         for word, mat in frontier:
             for gi, g in enumerate(gens):
                 prod = mat @ g
-                if known(prod):
+                n = len(words)
+                gaps = np.abs(stack[:n] - prod).max(axis=(1, 2))
+                if np.any(gaps <= MATRIX_DEDUP_TOL * np.abs(prod).max()):
                     continue
-                charge_budget(len(elements) + 1, budget, "semigroup enumeration")
-                entry = (word + (gi,), prod)
-                words.append(entry[0])
-                elements.append(entry[1])
-                new_frontier.append(entry)
+                charge_budget(n + 1, budget, "semigroup enumeration")
+                if n == stack.shape[0]:
+                    stack = np.concatenate([stack, np.empty_like(stack)])
+                stack[n] = prod
+                words.append(word + (gi,))
+                new_frontier.append((words[-1], prod))
         frontier = new_frontier
         if not frontier:
             break
     return SemigroupEnumeration(
         generators=tuple(gens), max_length=max_length,
-        words=tuple(words), elements=tuple(elements),
+        words=tuple(words), elements=tuple(stack[:len(words)]),
     )
 
 
@@ -111,18 +111,15 @@ def lambda_set(enum: SemigroupEnumeration) -> list:
     return found
 
 
-def lambda_stability(spec: ModelSpec, max_length: int, **kw) -> bool:
-    """True when the direction set did not grow at the last depth increase."""
-    if max_length < 1:
-        return False
-    prev = lambda_set(enumerate_semigroup(spec, max_length - 1, **kw))
-    last = lambda_set(enumerate_semigroup(spec, max_length, **kw))
-    if len(prev) != len(last):
-        return False
-    for v, _ in last:
-        if not any(np.abs(v - w).max() < DIRECTION_DEDUP_TOL for w, _ in prev):
-            return False
-    return True
+def lambda_stability(enum: SemigroupEnumeration) -> bool:
+    """True when the direction set did not grow at the last depth increase.
+
+    The enumeration one length shorter is a prefix of this one, and so is
+    its direction list; the set grew exactly when some direction was first
+    found by a word of the full length.
+    """
+    return enum.max_length >= 1 and all(
+        len(word) < enum.max_length for _, word in lambda_set(enum))
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +163,12 @@ def cone_hull(directions, max_terms: int) -> ConeHull:
         hi = dirs[np.argmax(dirs[:, 0])]
         extremes = np.unique(np.stack([lo, hi]), axis=0)
     else:
-        try:
-            from scipy.spatial import ConvexHull
+        from scipy.spatial import ConvexHull, QhullError
 
+        try:
             hull = ConvexHull(dirs[:, : d - 1], qhull_options="QJ")
             extremes = dirs[np.unique(hull.vertices)]
-        except Exception:
+        except QhullError:
             extremes = dirs  # degenerate (collinear) input: keep everything
     return ConeHull(directions=dirs, max_terms=max_terms, extremes=extremes)
 
@@ -284,8 +281,7 @@ def search_radius_witnesses(spec: ModelSpec, depth_budget: int = 3,
     if depth_budget < 1:
         raise ValueError("depth_budget must be >= 1")
     budget = resolve_budget(max_elements, DEFAULT_ELEMENT_BUDGET)
-    atoms = explicit_atoms(spec)
-    sums = [np.sum(br, axis=0) for _, br in atoms]
+    sums = spec.branch_table.sums
 
     small = large = None
 
@@ -298,8 +294,6 @@ def search_radius_witnesses(spec: ModelSpec, depth_budget: int = 3,
             small = RadiusWitness(matrix=mat, radius=r, word=word)
         if large is None and r >= 1.0 + _RADIUS_MARGIN:
             large = RadiusWitness(matrix=mat, radius=r, word=word)
-
-    from ._common import charge_budget
 
     frontier = [((), np.eye(spec.dim))]
     seen = 0

@@ -40,6 +40,25 @@ def test_iterate_pool_scale_equivariant(ex1):
     assert np.array_equal(2.0 * a.samples, b.samples)
 
 
+@pytest.mark.parametrize("name", ["ex1", "ex3"])
+def test_iterate_pool_matches_reference_loop(name, request):
+    # row by row over the same draws: one atom per row, then one resampled
+    # parent per edge, edges in row order and then branch order
+    spec = request.getfixturevalue(name)
+    atoms = sl.explicit_atoms(spec)
+    old = sl.heavy_tail_pool(spec, 300, 1.5, seed=5).samples
+    for seed in range(3):
+        new = sl.iterate_pool(spec, sl.SamplePool(dim=spec.dim, samples=old),
+                              seed=seed).samples
+        rng = as_generator(seed)
+        draws = rng.choice(len(atoms), size=len(old), p=[p for p, _ in atoms])
+        picks = iter(rng.integers(0, len(old),
+                                  size=sum(len(atoms[b][1]) for b in draws)))
+        ref = np.array([sum(a @ old[next(picks)] for a in atoms[b][1])
+                        for b in draws])
+        assert np.allclose(new, ref, rtol=1e-13, atol=0.0)
+
+
 def test_iterate_pool_samples_stay_in_cone(ex1):
     pool = sl.constant_pool(np.array([0.4, 0.6]), 2000)
     for seed in range(50):

@@ -150,6 +150,35 @@ def test_kill_counts_monte_carlo_agrees(ex2):
     assert mc.means[0, 0] == pytest.approx(exact.means[0, 0], abs=0.1)
 
 
+def iid3_model():
+    mats = np.random.default_rng(3).uniform(0.0, 1.0, size=(3, 3, 3))
+    mats[0, 1] = 0.0   # a zero row: some probes die on this matrix
+    return sl.ModelSpec(dim=3, kind="IIDCoefficients",
+                        n_law=((1, 0.2), (2, 0.5), (3, 0.3)),
+                        mu_atoms=tuple(zip((0.5, 0.3, 0.2), mats)))
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "iid3"])
+def test_kill_counts_matches_reference_loop(name, request):
+    # branch by branch over the expanded law, accumulating each count law
+    # in atom order: the means must agree to the last bit
+    spec = iid3_model() if name == "iid3" else request.getfixturevalue(name)
+    probes = sl.sphere_grid(spec.dim, 24)
+    deltas = np.array([0.0, 1e-3, 0.1, 0.5])
+    stats = sl.kill_counts(spec, probes, deltas)
+    for i, t in enumerate(probes):
+        laws = [dict() for _ in deltas]
+        for p, br in sl.explicit_atoms(spec):
+            vals = np.array([np.abs(a.T @ t).sum() for a in br])
+            for law, dlt in zip(laws, deltas):
+                c = int((vals > max(dlt, 1e-12) * np.abs(t).sum()).sum())
+                law[c] = law.get(c, 0.0) + p
+        assert [list(law.items()) for law in laws] == \
+            [list(law.items()) for law in stats.counts[i]]
+        means = [sum(k * q for k, q in law.items()) for law in laws]
+        assert np.array_equal(stats.means[i], means)
+
+
 def test_largest_stable_delta(ex2):
     deltas = np.array([0.0, 1e-3, 1e-2, 0.5])
     stats = sl.kill_counts(ex2, sl.sphere_grid(2, 32), deltas)

@@ -80,6 +80,18 @@ def test_sample_branch_shapes(ex1, ex2, ex3):
         assert np.allclose(b3.matrices[1], A2)
 
 
+def test_sample_branch_draw_stream(ex3):
+    # one rng.choice over the atoms per call: the atoms drawn for seeds 0-9
+    # are fixed, whatever the layout of the compiled branch table
+    drawn = [0, 0, 2, 0, 1, 2, 2, 1, 1, 1]
+    for seed, b in enumerate(drawn):
+        branch = sl.sample_branch(ex3, seed)
+        expected = ex3.atoms[b][1]
+        assert branch.n == len(expected)
+        assert all(np.array_equal(m, e)
+                   for m, e in zip(branch.matrices, expected))
+
+
 def test_branch_frequencies_match_probabilities(ex3):
     rng = np.random.default_rng(99)
     trials = 100_000

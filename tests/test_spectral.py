@@ -114,6 +114,13 @@ def test_find_alpha_interior_root(ex3):
     assert alpha == pytest.approx(ALPHA_EX3, abs=0.02)
 
 
+def test_find_alpha_long_chains(ex3):
+    # at the root s log||chain|| is about -830 at n = 2048, below exp's
+    # underflow point, so the moment curve must be averaged in the log domain
+    alpha = sl.find_alpha(ex3, n=2048, trials=2000, seed=0)
+    assert alpha == pytest.approx(0.578, abs=1e-2)
+
+
 def test_find_alpha_interior_root_synthetic():
     # scaled generators: kappa(s) = ((0.12)^s + (0.18)^s)/2 exactly, so the
     # root of E[N] kappa(s) = 1 can be pinned by an independent bisection

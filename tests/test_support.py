@@ -60,6 +60,15 @@ def test_enumerate_closure_bookkeeping(ex2):
                 assert lookup(m1 @ m2)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-5, 1e-7])
+def test_enumerate_scale_invariant(ex1, scale):
+    # the semigroup is projective: scaling the generators keeps every word
+    gens = [scale * g for g in sl.mu_support(ex1)]
+    enum = sl.enumerate_semigroup(gens, 4)
+    assert len(enum.elements) == 21
+    assert enum.words == sl.enumerate_semigroup(ex1, 4).words
+
+
 def test_enumerate_budget():
     rng = np.random.default_rng(3)
     g1 = rng.uniform(0.1, 1.0, (2, 2))
@@ -94,7 +103,7 @@ def test_lambda_set_ex1(ex1):
     assert len(got) == 2
     assert got[0] == pytest.approx((1 / 3, 2 / 3), abs=1e-10)
     assert got[1] == pytest.approx((0.5, 0.5), abs=1e-10)
-    assert sl.lambda_stability(ex1, 3)
+    assert sl.lambda_stability(sl.enumerate_semigroup(ex1, 3))
 
 
 def test_lambda_set_ex2(ex2):
@@ -118,7 +127,22 @@ def test_lambda_set_grows_monotonically(ex2):
         nxt = {tuple(np.round(v, 10))
                for v, _ in sl.lambda_set(sl.enumerate_semigroup(ex2, L + 1))}
         assert prev <= nxt
-    assert sl.lambda_stability(ex2, 2)
+    assert sl.lambda_stability(sl.enumerate_semigroup(ex2, 2))
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
+def test_lambda_stability_matches_two_enumerations(name, request):
+    # stable means the direction set at length L equals the one at L - 1
+    spec = request.getfixturevalue(name)
+    flags = []
+    for L in range(6):
+        last = sl.lambda_set(sl.enumerate_semigroup(spec, L))
+        prev = sl.lambda_set(sl.enumerate_semigroup(spec, L - 1)) if L else None
+        same = L >= 1 and len(prev) == len(last) and all(
+            any(np.abs(v - w).max() < 1e-10 for w, _ in prev) for v, _ in last)
+        assert sl.lambda_stability(sl.enumerate_semigroup(spec, L)) == same
+        flags.append(same)
+    assert flags[:2] == [False, False] and flags[-1]
 
 
 # ---------------------------------------------------------------------------
