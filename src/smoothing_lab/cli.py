@@ -18,10 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._common import resolve_budget
 from .cascade import (
-    SamplePool,
-    constant_pool,
     heavy_tail_pool,
     pool_from_csv,
     pool_to_csv,
@@ -47,7 +44,6 @@ from .errors import (
 )
 from .models import (
     EXAMPLE_NAMES,
-    ModelSpec,
     check_furstenberg_kesten,
     check_iid_coefficients,
     example_path,
@@ -212,7 +208,7 @@ def cmd_support(args) -> int:
     }
     hull = None
     if dirs:
-        hull = cone_hull(np.array([v for v, _ in dirs]), max_terms=spec.dim)
+        hull = cone_hull(np.array([v for v, _ in dirs]))
         payload["hull_extremes"] = hull.extremes.tolist()
     if args.pool:
         if hull is None:
@@ -433,7 +429,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ValueError, OSError) as exc:
+        # the package rejects bad arguments and malformed files with
+        # ValueError; a path that cannot be read or written raises OSError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:

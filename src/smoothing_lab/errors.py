@@ -60,7 +60,3 @@ class EmptyTail(SmoothingLabError):
 
 class InsufficientDecay(SmoothingLabError):
     """A transform curve never drops below the fitting threshold."""
-
-
-class MomentRangeExceeded(SmoothingLabError):
-    """A harmonic-moment order lies outside the finite range of the weights."""

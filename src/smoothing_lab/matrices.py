@@ -36,10 +36,6 @@ def operator_norm(a) -> float:
     return float(np.abs(a).sum(axis=0).max())
 
 
-def l1_norm(x) -> float:
-    return float(np.abs(np.asarray(x, dtype=float)).sum())
-
-
 def as_direction(x) -> np.ndarray:
     """Normalize a nonnegative nonzero vector onto the unit simplex."""
     x = np.asarray(x, dtype=float)

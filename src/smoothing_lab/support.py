@@ -19,6 +19,7 @@ from .models import ModelSpec, mu_support
 
 MATRIX_DEDUP_TOL = 1e-12
 DIRECTION_DEDUP_TOL = 1e-10
+_AFFINE_RANK_TOL = 1e-10      # smaller singular values do not count in a hull's rank
 _RADIUS_MARGIN = 1e-9
 
 
@@ -94,21 +95,28 @@ def check_positivity(enum: SemigroupEnumeration) -> bool:
     return any(np.all(m > 0) for m in enum.elements)
 
 
+def _distinct(vectors) -> list:
+    """Indices of the vectors kept by a first-come dedup: a vector is
+    dropped when an earlier kept one is within DIRECTION_DEDUP_TOL in max
+    norm."""
+    kept: list = []
+    for i, v in enumerate(vectors):
+        if not any(np.abs(v - vectors[j]).max() < DIRECTION_DEDUP_TOL
+                   for j in kept):
+            kept.append(i)
+    return kept
+
+
 def lambda_set(enum: SemigroupEnumeration) -> list:
     """Perron eigen-directions of the strictly positive elements.
 
     Returns (direction, word) pairs deduplicated at a tight tolerance; the
     word is the first product that produced the direction.
     """
-    found: list = []
-    for word, m in zip(enum.words, enum.elements):
-        if not np.all(m > 0):
-            continue
-        v = pf_decompose(m).right
-        if any(np.abs(v - w).max() < DIRECTION_DEDUP_TOL for w, _ in found):
-            continue
-        found.append((v, word))
-    return found
+    positive = [(w, m) for w, m in zip(enum.words, enum.elements)
+                if np.all(m > 0)]
+    dirs = [pf_decompose(m).right for _, m in positive]
+    return [(dirs[i], positive[i][0]) for i in _distinct(dirs)]
 
 
 def lambda_stability(enum: SemigroupEnumeration) -> bool:
@@ -129,82 +137,51 @@ def lambda_stability(enum: SemigroupEnumeration) -> bool:
 
 @dataclass(frozen=True)
 class ConeHull:
-    """Convex hull of a finite direction set on the unit simplex.
+    """Convex hull of a finite direction set on the unit simplex, held as
+    facet inequalities in the affine hull of the directions.
 
-    Membership of x >= 0 means x = 0 or x/|x| is a convex combination of the
-    directions; with max_terms >= d this equals combinations of at most
-    max_terms directions by Caratheodory's theorem.  max_terms = 1 restricts
-    to the rays themselves.
+    With y = x - origin and c = y @ basis.T, a unit-L1 direction x is in the
+    hull when |y - c @ basis|_1 <= tol (x lies in the affine hull) and
+    c @ normals.T - offsets <= tol (x is inside every facet).  Membership of
+    x >= 0 means x = 0 or x/|x| is in the hull.
     """
 
-    directions: np.ndarray       # (m, d) unit-L1
-    max_terms: int
+    directions: np.ndarray       # (m, d) unit-L1, deduplicated
     extremes: np.ndarray         # (k, d) extreme points of the hull
+    origin: np.ndarray           # (d,) mean of the directions
+    basis: np.ndarray            # (r, d) orthonormal rows along the affine hull
+    normals: np.ndarray          # (f, r) outward unit facet normals
+    offsets: np.ndarray          # (f,)
 
 
-def cone_hull(directions, max_terms: int) -> ConeHull:
+def cone_hull(directions) -> ConeHull:
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     if dirs.shape[0] < 1:
         raise ValueError("need at least one direction")
-    if max_terms < 1:
-        raise ValueError("max_terms must be >= 1")
     sums = dirs.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > 1e-9) or np.any(dirs < 0):
         raise ValueError("directions must be nonnegative with unit L1 norm")
 
-    keep: list = []
-    for v in dirs:
-        if not any(np.abs(v - w).max() < DIRECTION_DEDUP_TOL for w in keep):
-            keep.append(v)
-    dirs = np.array(keep)
-    d = dirs.shape[1]
-    if d <= 2 or dirs.shape[0] <= 2:
-        lo = dirs[np.argmin(dirs[:, 0])]
-        hi = dirs[np.argmax(dirs[:, 0])]
-        extremes = np.unique(np.stack([lo, hi]), axis=0)
+    dirs = dirs[_distinct(dirs)]
+    origin = dirs.mean(axis=0)
+    _, sv, vt = np.linalg.svd(dirs - origin, full_matrices=False)
+    basis = vt[: int((sv > _AFFINE_RANK_TOL).sum())]
+    y = (dirs - origin) @ basis.T
+    r = basis.shape[0]
+    if r >= 2:
+        from scipy.spatial import ConvexHull
+
+        hull = ConvexHull(y, qhull_options="QJ")
+        extremes = dirs[np.unique(hull.vertices)]
+        normals, offsets = hull.equations[:, :-1], -hull.equations[:, -1]
     else:
-        from scipy.spatial import ConvexHull, QhullError
-
-        try:
-            hull = ConvexHull(dirs[:, : d - 1], qhull_options="QJ")
-            extremes = dirs[np.unique(hull.vertices)]
-        except QhullError:
-            extremes = dirs  # degenerate (collinear) input: keep everything
-    return ConeHull(directions=dirs, max_terms=max_terms, extremes=extremes)
-
-
-def _simplex_membership(hull: ConeHull, xdir: np.ndarray, tol: float) -> bool:
-    d = xdir.size
-    if hull.max_terms == 1:
-        return bool(np.min(np.abs(hull.directions - xdir).sum(axis=1)) <= tol)
-    if d <= 2:
-        xs = hull.directions[:, 0]
-        return bool(xs.min() - tol <= xdir[0] <= xs.max() + tol)
-    from scipy.optimize import linprog
-
-    m = hull.directions.shape[0]
-    res = linprog(
-        c=np.zeros(m),
-        A_eq=np.vstack([hull.directions.T, np.ones(m)]),
-        b_eq=np.append(xdir, 1.0),
-        bounds=[(0, None)] * m,
-        method="highs",
-    )
-    if res.status == 0:
-        return True
-    # allow boundary slack: minimize infeasibility via L1 relaxation
-    rows = d + 1
-    res = linprog(
-        c=np.concatenate([np.zeros(m), np.ones(2 * rows)]),
-        A_eq=np.hstack([
-            np.vstack([hull.directions.T, np.ones(m)]),
-            np.eye(rows), -np.eye(rows),
-        ]),
-        b_eq=np.append(xdir, 1.0),
-        bounds=[(0, None)] * (m + 2 * rows),
-        method="highs",
-    )
-    return bool(res.status == 0 and res.fun <= tol)
+        # a point or a segment: its two ends, in lexicographic order
+        t = y.sum(axis=1)
+        extremes = np.unique(dirs[[t.argmin(), t.argmax()]], axis=0)
+        normals = np.vstack([np.eye(r), -np.eye(r)])
+        offsets = np.concatenate([y.max(axis=0), -y.min(axis=0)])
+    return ConeHull(directions=dirs, extremes=extremes, origin=origin,
+                    basis=basis, normals=normals, offsets=offsets)
 
 
 def membership(hull: ConeHull, x, tol: float = 1e-9) -> bool:
@@ -215,16 +192,17 @@ def membership(hull: ConeHull, x, tol: float = 1e-9) -> bool:
     s = x.sum()
     if s <= tol:
         return True
-    return _simplex_membership(hull, x / s, tol)
+    return bool(membership_fractions(hull, (x / s)[None], tol)[0])
 
 
 def membership_fractions(hull: ConeHull, dirs: np.ndarray,
                          tol: float = 1e-9) -> np.ndarray:
     """Vectorized membership for an (n, d) stack of unit-L1 directions."""
-    if hull.directions.shape[1] <= 2 and hull.max_terms > 1:
-        xs = hull.directions[:, 0]
-        return (dirs[:, 0] >= xs.min() - tol) & (dirs[:, 0] <= xs.max() + tol)
-    return np.array([_simplex_membership(hull, v, tol) for v in dirs])
+    y = dirs - hull.origin
+    coords = y @ hull.basis.T
+    in_span = np.abs(y - coords @ hull.basis).sum(axis=1) <= tol
+    return in_span & np.all(coords @ hull.normals.T - hull.offsets <= tol,
+                            axis=1)
 
 
 def empirical_support_check(pool, hull: ConeHull, tol: float = 1e-9):

@@ -116,7 +116,7 @@ def test_a04_lyapunov_estimate_and_bound(ex1):
 def test_a05_support_cone(ex1):
     start = time.perf_counter()
     pool, _ = sl.run_fixed_point(ex1, k=100_000, rounds=50, seed=1001)
-    hull = sl.cone_hull(np.array([[0.5, 0.5], [1 / 3, 2 / 3]]), max_terms=2)
+    hull = sl.cone_hull(np.array([[0.5, 0.5], [1 / 3, 2 / 3]]))
     frac, gaps = sl.empirical_support_check(pool, hull, tol=1e-9)
     assert frac == 1.0
     assert gaps.max() < 0.05

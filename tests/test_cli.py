@@ -192,6 +192,39 @@ def test_budget_exit_code(tmp_path, monkeypatch):
     assert rc == 4
 
 
+POOL_FILES = {"bad.csv": "x0,x1\n1,2,3\n", "neg.csv": "x0,x1\n1,-2\n"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagnose", "--model", "ex1", "--pool", "missing.csv", "--seed", "1",
+     "--out-prefix", "d"],
+    ["diagnose", "--model", "ex1", "--pool", "bad.csv", "--seed", "1",
+     "--out-prefix", "d"],
+    ["diagnose", "--model", "ex1", "--pool", "neg.csv", "--seed", "1",
+     "--out-prefix", "d"],
+    ["support", "--model", "ex1", "--pool", "missing.csv", "--out", "s.json"],
+    ["support", "--model", "ex1", "--pool", "bad.csv", "--out", "s.json"],
+    ["support", "--model", "ex1", "--pool", "neg.csv", "--out", "s.json"],
+    ["simulate", "--model", "ex1", "--k", "0", "--rounds", "1", "--seed", "1",
+     "--out", "p.csv"],
+    ["simulate", "--model", "ex1", "--k", "10", "--rounds", "1", "--seed",
+     "1", "--out", "p.csv", "--init-tail-index", "-1"],
+    ["spectrum", "--model", "ex1", "--seed", "1", "--out-prefix", "s",
+     "--chain-n", "0"],
+    ["support", "--model", "ex1", "--length", "-1", "--out", "s.json"],
+], ids=["diagnose-missing", "diagnose-malformed", "diagnose-negative",
+        "support-missing", "support-malformed", "support-negative",
+        "simulate-k0", "simulate-tail-index", "spectrum-chain-n",
+        "support-length"])
+def test_bad_input_exit_code(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, text in POOL_FILES.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_require_alpha_exit_code(tmp_path):
     # doubled generators: the moment curve stays above one on (0, 1]
     import smoothing_lab as sl

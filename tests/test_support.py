@@ -9,6 +9,7 @@ from smoothing_lab.errors import (
     OutOfRange,
     WitnessNotFound,
 )
+from smoothing_lab.support import membership_fractions
 
 from conftest import A1, A2
 
@@ -151,7 +152,7 @@ def test_lambda_stability_matches_two_enumerations(name, request):
 
 
 def hull_ex1():
-    return sl.cone_hull(np.array([[0.5, 0.5], [1 / 3, 2 / 3]]), max_terms=2)
+    return sl.cone_hull(np.array([[0.5, 0.5], [1 / 3, 2 / 3]]))
 
 
 def test_membership_examples():
@@ -174,18 +175,18 @@ def test_membership_scale_invariant():
 
 
 def test_single_direction_hull_is_ray():
-    hull = sl.cone_hull(np.array([[0.25, 0.75]]), max_terms=1)
+    hull = sl.cone_hull(np.array([[0.25, 0.75]]))
     assert sl.membership(hull, np.array([0.5, 1.5]))
     assert not sl.membership(hull, np.array([0.5, 1.0]))
 
 
 def test_collinear_hull_and_idempotence():
     dirs = np.array([[0.5, 0.5], [0.4, 0.6], [1 / 3, 2 / 3]])
-    h2 = sl.cone_hull(dirs, max_terms=2)
-    h3 = sl.cone_hull(dirs, max_terms=3)
+    h2 = sl.cone_hull(dirs)
+    h3 = sl.cone_hull(dirs)
     probe = np.array([0.45, 0.55])
     assert sl.membership(h2, probe) == sl.membership(h3, probe)
-    again = sl.cone_hull(h2.extremes, max_terms=2)
+    again = sl.cone_hull(h2.extremes)
     assert np.allclose(np.sort(again.extremes, axis=0),
                        np.sort(h2.extremes, axis=0))
 
@@ -196,9 +197,77 @@ def test_membership_three_dimensional():
         [0.2, 0.6, 0.2],
         [0.2, 0.2, 0.6],
     ])
-    hull = sl.cone_hull(dirs, max_terms=3)
+    hull = sl.cone_hull(dirs)
     assert sl.membership(hull, np.array([1.0, 1.0, 1.0]))
     assert not sl.membership(hull, np.array([1.0, 0.0, 0.0]))
+
+
+def lp_membership(directions, x, tol):
+    """Reference test: is x a convex combination of the directions?  One
+    feasibility LP, then an L1-relaxed LP that allows boundary slack."""
+    from scipy.optimize import linprog
+
+    m, d = directions.shape
+    a_eq = np.vstack([directions.T, np.ones(m)])
+    b_eq = np.append(x, 1.0)
+    res = linprog(c=np.zeros(m), A_eq=a_eq, b_eq=b_eq,
+                  bounds=[(0, None)] * m, method="highs")
+    if res.status == 0:
+        return True
+    rows = d + 1
+    res = linprog(
+        c=np.concatenate([np.zeros(m), np.ones(2 * rows)]),
+        A_eq=np.hstack([a_eq, np.eye(rows), -np.eye(rows)]),
+        b_eq=b_eq, bounds=[(0, None)] * (m + 2 * rows), method="highs",
+    )
+    return bool(res.status == 0 and res.fun <= tol)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_membership_fractions_matches_lp(seed):
+    from scipy.spatial import ConvexHull
+
+    rng = np.random.default_rng(seed)
+    hull = sl.cone_hull(rng.dirichlet(np.ones(3), size=4 + 2 * seed))
+    ext = hull.extremes
+    centre = ext.mean(axis=0)
+    edges = ConvexHull(ext[:, :2]).simplices
+    outside = centre + 1.05 * (ext - centre)
+    outside = outside[(outside >= 0).all(axis=1)]
+    points = np.vstack([
+        rng.dirichlet(np.ones(len(ext)), size=40) @ ext,   # interior
+        outside / outside.sum(axis=1, keepdims=True),      # exterior
+        rng.dirichlet(np.ones(3), size=40),                # anywhere
+        0.5 * (ext[edges[:, 0]] + ext[edges[:, 1]]),       # boundary
+        ext,                                               # extremes
+    ])
+    expected = [lp_membership(hull.directions, x, 1e-9) for x in points]
+    assert len(outside) and not any(expected[40:40 + len(outside)])
+    assert membership_fractions(hull, points).tolist() == expected
+
+
+def test_collinear_hull_three_dimensional():
+    dirs = np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25],
+                     [0.375, 0.375, 0.25]])
+    hull = sl.cone_hull(dirs)
+    assert hull.extremes.tolist() == [[0.25, 0.5, 0.25], [0.5, 0.25, 0.25]]
+    assert not sl.membership(hull, np.array([0.6, 0.15, 0.25]))
+    assert sl.membership(hull, np.array([0.4, 0.35, 0.25]))
+    # the mean of these directions is off the segment's midpoint, so each
+    # end has its own offset
+    hull = sl.cone_hull(dirs[[0, 1]].tolist() + [[0.45, 0.3, 0.25]])
+    assert sl.membership(hull, np.array([0.28, 0.47, 0.25]))
+    assert not sl.membership(hull, np.array([0.52, 0.23, 0.25]))
+    assert not sl.membership(hull, np.array([0.24, 0.51, 0.25]))
+
+
+def test_direction_dedup_keeps_first(ex2):
+    v = np.array([0.5, 0.5])
+    close = sl.cone_hull([v, v + [1e-11, -1e-11], v + [1e-6, -1e-6]])
+    assert close.directions.tolist() == [v.tolist(), (v + [1e-6, -1e-6]).tolist()]
+    enum = sl.enumerate_semigroup(ex2, 3)
+    words = [w for w, m in zip(enum.words, enum.elements) if np.all(m > 0)]
+    assert [w for _, w in sl.lambda_set(enum)][0] == words[0]
 
 
 def test_empirical_support_degenerate_pool():
