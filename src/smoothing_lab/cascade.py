@@ -4,9 +4,9 @@ The pool sampler applies one smoothing round to an empirical sample cloud:
 every new sample is sum_i a_i z_i with a fresh branch draw and z_i resampled
 with replacement from the previous pool.  The tree sampler grows the
 weighted branching tree explicitly and is unbiased at finite depth for
-models whose mean matrix has unit spectral radius.  Both read the model's
-compiled branch table and sum child values into their parents with one
-edge fold; a tree is kept as its atom draws per level, and the martingale
+models whose mean matrix has unit spectral radius.  Both draw from the
+model's branch table and sum its row gather over each parent's edges (one
+edge fold); a tree is kept as its atom draws per level, and the martingale
 folds the leaf level into the branch sums Y_b.
 """
 from __future__ import annotations
@@ -94,7 +94,9 @@ def iterate_pool(spec: ModelSpec, pool: SamplePool, seed) -> SamplePool:
     rng = as_generator(seed)
     table = spec.branch_table
     k = pool.size
-    atom = rng.choice(table.probs.size, size=k, p=table.probs)
+    # bound to the end of the round: freed early, it let the heap shrink and
+    # each round fault its pages in again (12x the faults on ex2, k = 50k)
+    atom = table.draw(rng, k)
     ids, starts = _edges(table, atom)
     picks = rng.integers(0, k, size=ids.size)
     new = _fold(table, ids, starts, np.take(pool.samples.T, picks, axis=1)).T
@@ -142,7 +144,7 @@ def _grow_forest(table: BranchTable, depth: int, n_trees: int, rng,
     nodes_per_tree = np.ones(n_trees)
     levels = []
     for lvl in range(depth):
-        atom = rng.choice(table.probs.size, size=tree.size, p=table.probs)
+        atom = table.draw(rng, tree.size)
         counts = table.sizes[atom]
         nodes_per_tree += np.bincount(tree, weights=counts, minlength=n_trees)
         if nodes_per_tree.max(initial=0) > node_budget:
@@ -168,18 +170,13 @@ def _fold(table: BranchTable, ids: np.ndarray, starts: np.ndarray,
           child: np.ndarray) -> np.ndarray:
     """Per parent, the sum over its edges e of mats[ids[e]] @ child[:, e].
 
-    child holds one column per edge and the result one column per parent.
-    Edge matrices are gathered one entry at a time, so no (E, d, d) array
-    is built.
+    child holds one column per edge and the result one column per parent;
+    each row is gathered and summed on its own, so only one row of edge
+    products is held at a time.
     """
-    d = child.shape[0]
-    cols = table.mats.transpose(1, 2, 0).copy()  # cols[i, j] = mats[:, i, j]
-    out = np.empty((d, starts.size))
-    for i in range(d):
-        contrib = cols[i, 0][ids] * child[0]
-        for j in range(1, d):
-            contrib += cols[i, j][ids] * child[j]
-        out[i] = np.add.reduceat(contrib, starts)
+    out = np.empty((child.shape[0], starts.size))
+    for i in range(child.shape[0]):
+        out[i] = np.add.reduceat(table.row(i, ids, child), starts)
     return out
 
 
@@ -226,12 +223,6 @@ def martingale_samples(spec: ModelSpec, depth: int, trials: int, seed,
     return out
 
 
-def martingale_sample(spec: ModelSpec, depth: int, seed,
-                      node_budget: int | None = None) -> np.ndarray:
-    """One tree draw of sum over depth-n nodes of G_u v."""
-    return martingale_samples(spec, depth, 1, seed, node_budget=node_budget)[0]
-
-
 def survival_counts(spec: ModelSpec, probes, depth: int, seed,
                     zero_tol: float = 1e-12,
                     node_budget: int | None = None) -> np.ndarray:
@@ -271,18 +262,6 @@ def _alive_counts(carriers, probes, thresholds) -> np.ndarray:
         block = np.abs(rows @ probes.T).reshape(-1, d, probes.shape[0])
         alive += (block.sum(axis=1) > thresholds).sum(axis=0)
     return alive
-
-
-def count_surviving_directions(spec: ModelSpec, t, depth: int, seed,
-                               zero_tol: float = 1e-12,
-                               node_budget: int | None = None) -> int:
-    """Number of depth-n tree nodes whose transposed weight keeps t alive."""
-    t = np.asarray(t, dtype=float)
-    if not t.any():
-        raise ValueError("t must be nonzero")
-    counts = survival_counts(spec, t[None, :], depth, seed,
-                             zero_tol=zero_tol, node_budget=node_budget)
-    return int(counts[depth, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,10 @@ _PROBE_STREAM = 0xD1A6005E
 
 def sphere_grid(dim: int, n: int) -> np.ndarray:
     """Deterministic probes on the full unit sphere (signed entries, L1 norm 1)."""
+    if n < 1:
+        raise ValueError(f"the probe count must be >= 1, got {n}")
     if dim == 1:
-        return np.array([[1.0], [-1.0]])[: max(n, 1)]
+        return np.array([[1.0], [-1.0]])[:n]
     if dim == 2:
         angles = 2.0 * np.pi * np.arange(n) / n
         t = np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -182,8 +184,7 @@ def kill_counts(spec: ModelSpec, t_grid, delta_grid, trials: int | None = None,
         weights = table.probs.tolist()
     else:
         rng = as_generator(seed)
-        per_atom = per_atom[rng.choice(table.probs.size, size=trials,
-                                       p=table.probs)]
+        per_atom = per_atom[table.draw(rng, trials)]
         weights = [1.0 / trials] * trials
 
     counts: list = []
@@ -222,13 +223,11 @@ def harmonic_moment(pool, b: float, floor: float = 1e-8,
     operationalized as instability: the flag is True when successive floors
     in a fixed ladder move the estimate by less than stability_rtol.
     """
-    norms = pool.norms()
-    if b <= 0:
-        raise ValueError("the order b must be positive")
     if floor <= 0:
         raise ValueError("floor must be positive")
-    value = float(np.mean(np.maximum(norms, floor) ** (-b)))
-    ladder = [float(np.mean(np.maximum(norms, f) ** (-b))) for f in HARMONIC_FLOORS]
+    table = harmonic_floor_table(pool, b, HARMONIC_FLOORS + (floor,))
+    value = table[float(floor)]
+    ladder = [table[f] for f in HARMONIC_FLOORS]
     stable = all(
         abs(ladder[i + 1] - ladder[i]) <= stability_rtol * ladder[i]
         for i in range(len(ladder) - 1)

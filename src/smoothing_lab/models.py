@@ -12,8 +12,8 @@ Three declaration styles are supported:
 
 Everything downstream (exact expectations, conditional laws, samplers) works
 through this module so that the finite-atom arithmetic stays in one place.
-Readers of branch realizations share one compiled ``BranchTable`` per model,
-built on first use.
+Every sampler draws from, and gathers rows of, a compiled ``BranchTable``:
+one per model, built on first use, and one per single-matrix chain law.
 """
 from __future__ import annotations
 
@@ -78,16 +78,44 @@ def _check_branch(branch, dim: int, what: str) -> tuple:
 class BranchTable:
     """The joint branch law compiled into arrays: atom b, with probability
     probs[b], is the branch mats[offsets[b]:offsets[b] + sizes[b]] summing to
-    sums[b].  The arrays are read-only, since every reader shares them."""
+    sums[b].  cols[i, j] = mats[:, i, j] is the entry stack that `row`
+    gathers from.  The arrays are read-only, since every reader shares them."""
 
     probs: np.ndarray    # (B,)
     mats: np.ndarray     # (M, d, d)
     sizes: np.ndarray    # (B,)
     offsets: np.ndarray  # (B,)
     sums: np.ndarray     # (B, d, d)
+    cols: np.ndarray     # (d, d, M)
+
+    @classmethod
+    def compile(cls, atoms) -> "BranchTable":
+        """The table of a list of (probability, branch) pairs."""
+        mats = np.stack([m for _, br in atoms for m in br])
+        sizes = np.array([len(br) for _, br in atoms])
+        offsets = np.cumsum(sizes) - sizes
+        table = cls(probs=np.array([p for p, _ in atoms]), mats=mats,
+                    sizes=sizes, offsets=offsets,
+                    sums=np.add.reduceat(mats, offsets, axis=0),
+                    cols=mats.transpose(1, 2, 0).copy())
+        for a in vars(table).values():
+            a.flags.writeable = False
+        return table
 
     def branch(self, b: int) -> np.ndarray:
         return self.mats[self.offsets[b]:self.offsets[b] + self.sizes[b]]
+
+    def draw(self, rng, size=None):
+        """Atom ids drawn i.i.d. from probs."""
+        return rng.choice(self.probs.size, size=size, p=self.probs)
+
+    def row(self, i: int, ids: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Row i of mats[ids[e]] @ x[:, ..., e] along x's last axis e, summed
+        entry by entry, so no (E, d, d) array is built."""
+        out = self.cols[i, 0][ids] * x[0]
+        for j in range(1, x.shape[0]):
+            out += self.cols[i, j][ids] * x[j]
+        return out
 
 
 @dataclass(frozen=True)
@@ -146,16 +174,7 @@ class ModelSpec:
     @functools.cached_property
     def branch_table(self) -> BranchTable:
         """The compiled branch law, expanded once on first use."""
-        atoms = explicit_atoms(self)
-        mats = np.stack([m for _, br in atoms for m in br])
-        sizes = np.array([len(br) for _, br in atoms])
-        offsets = np.cumsum(sizes) - sizes
-        table = BranchTable(probs=np.array([p for p, _ in atoms]), mats=mats,
-                            sizes=sizes, offsets=offsets,
-                            sums=np.add.reduceat(mats, offsets, axis=0))
-        for a in vars(table).values():
-            a.flags.writeable = False
-        return table
+        return BranchTable.compile(explicit_atoms(self))
 
 
 def expected_n(spec: ModelSpec) -> float:
@@ -203,7 +222,7 @@ def sample_branch(spec: ModelSpec, seed) -> BranchSample:
         mats = tuple(spec.mu_atoms[i][1] for i in idx)
     else:
         table = spec.branch_table
-        mats = tuple(table.branch(rng.choice(table.probs.size, p=table.probs)))
+        mats = tuple(table.branch(table.draw(rng)))
     return BranchSample(n=len(mats), matrices=mats)
 
 

@@ -2,8 +2,8 @@
 
 Chain quantities (growth rates of norm moments, the Lyapunov exponent) are
 estimated by Monte Carlo over products of i.i.d. matrices with periodic
-renormalization.  One kernel draws every chain: each step gathers the drawn
-matrices from an (M, d, d) stack and multiplies them in one batch.  Moments
+renormalization.  One kernel draws every chain: each step is the row gather
+of a branch table of singleton branches, as in a pool round.  Moments
 of several orders are read off one set of chains, in the log domain.  The
 conditioned singleton-branch law additionally gets a discretized transfer
 operator on the direction simplex whose leading eigenvalue extends the
@@ -26,6 +26,7 @@ from .errors import (
 )
 from .matrices import spectral_radius
 from .models import (
+    BranchTable,
     ModelSpec,
     conditioned_a1_atoms,
     expected_n,
@@ -45,27 +46,28 @@ _RENORM_EVERY = 32
 def _chain_log_norms(law, n: int, trials: int, seed) -> np.ndarray:
     """log ||M_n ... M_1|| for `trials` independent chains drawn from `law`.
 
-    law: list of (probability, matrix).  The running product is renormalized
-    every few steps and the log scale accumulated, since the chains decay
-    geometrically in the regimes of interest.
+    law: list of (probability, matrix), compiled as singleton branches.  A
+    step is the table's row gather on the (d, d, trials) product stack.  The
+    stack is renormalized every few steps and at the end, and the log scale
+    accumulated, since the chains decay geometrically.
     """
     if n < 1:
         raise ValueError("chain length must be >= 1")
+    if trials < 1:
+        raise ValueError("chain trials must be >= 1")
     rng = as_generator(seed)
-    probs = np.array([p for p, _ in law])
-    mats = np.stack([np.asarray(m, dtype=float) for _, m in law])
-    d = mats.shape[1]
-    prod = np.tile(np.eye(d), (trials, 1, 1))
+    table = BranchTable.compile([(p, [m]) for p, m in law])
+    d = table.mats.shape[1]
+    prod = np.eye(d)[:, :, None].repeat(trials, axis=2)
     logscale = np.zeros(trials)
-    for step in range(n):
-        idx = rng.choice(len(mats), size=trials, p=probs)
-        prod = np.matmul(mats[idx], prod)
-        if (step + 1) % _RENORM_EVERY == 0:
-            scale = np.abs(prod).sum(axis=1).max(axis=1)
+    for step in range(1, n + 1):
+        ids = table.draw(rng, trials)
+        prod = np.stack([table.row(i, ids, prod) for i in range(d)])
+        if step % _RENORM_EVERY == 0 or step == n:
+            scale = prod.sum(axis=0).max(axis=0)  # entries are nonnegative
             logscale += np.log(scale)
-            prod /= scale[:, None, None]
-    norms = np.abs(prod).sum(axis=1).max(axis=1)
-    return logscale + np.log(norms)
+            prod /= scale
+    return logscale
 
 
 def _log_mean_exp(x: np.ndarray):
@@ -283,11 +285,10 @@ def transfer_eigen(disc: TransferDiscretization, tol: float = 1e-12,
         pf = op @ f
         ratios = pf / f
         lo, hi = float(ratios.min()), float(ratios.max())
+        f = pf / pf.max()
         if hi - lo <= tol * max(hi, 1e-300):
             lam = 0.5 * (lo + hi)
-            f = pf / pf.max()
             break
-        f = pf / pf.max()
     if lam is None:
         raise NoConvergence("transfer-operator power iteration stalled")
     nu = np.full(g, 1.0 / g)

@@ -189,15 +189,22 @@ def membership(hull: ConeHull, x, tol: float = 1e-9) -> bool:
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise NegativeInput("membership is defined on the nonnegative cone")
+    _check_tol(tol)
     s = x.sum()
     if s <= tol:
         return True
     return bool(membership_fractions(hull, (x / s)[None], tol)[0])
 
 
+def _check_tol(tol: float) -> None:
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+
+
 def membership_fractions(hull: ConeHull, dirs: np.ndarray,
                          tol: float = 1e-9) -> np.ndarray:
     """Vectorized membership for an (n, d) stack of unit-L1 directions."""
+    _check_tol(tol)
     y = dirs - hull.origin
     coords = y @ hull.basis.T
     in_span = np.abs(y - coords @ hull.basis).sum(axis=1) <= tol
@@ -337,9 +344,3 @@ def dyadic_expand(x: float, theta: float, n_terms: int) -> np.ndarray:
             partial += power
             bits[i] = 1
     return bits
-
-
-def dyadic_reconstruct(bits, theta: float) -> float:
-    bits = np.asarray(bits)
-    powers = theta ** np.arange(1, bits.size + 1)
-    return float((bits * powers).sum())

@@ -105,7 +105,7 @@ def test_run_fixed_point_positive_samples(ex3):
 
 
 def test_martingale_depth_zero(ex1):
-    w = sl.martingale_sample(ex1, depth=0, seed=5)
+    w = sl.martingale_samples(ex1, depth=0, trials=1, seed=5)[0]
     assert w == pytest.approx([0.4, 0.6], abs=1e-12)
 
 
@@ -205,7 +205,8 @@ def test_pool_and_tree_norm_laws_agree(ex1, small_pool_ex1):
 
 
 def test_count_surviving_depth_zero(ex2):
-    assert sl.count_surviving_directions(ex2, np.array([3.0, -1.0]), 0, seed=1) == 1
+    t = np.array([3.0, -1.0])
+    assert sl.survival_counts(ex2, t[None], 0, seed=1)[0, 0] == 1
 
 
 def test_count_surviving_ex2_first_level(ex2):
@@ -213,12 +214,12 @@ def test_count_surviving_ex2_first_level(ex2):
     # children keep it alive, whatever the scalar draw
     t = np.array([1.0, -1.0])
     for seed in range(20):
-        assert sl.count_surviving_directions(ex2, t, 1, seed=seed) == 2
+        assert sl.survival_counts(ex2, t[None], 1, seed=seed)[1, 0] == 2
 
 
 def test_count_surviving_rejects_zero_probe(ex2):
     with pytest.raises(ValueError):
-        sl.count_surviving_directions(ex2, np.zeros(2), 3, seed=0)
+        sl.survival_counts(ex2, np.zeros(2)[None], 3, seed=0)
 
 
 def test_survival_counts_monotone_ex2(ex2):

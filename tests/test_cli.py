@@ -192,37 +192,54 @@ def test_budget_exit_code(tmp_path, monkeypatch):
     assert rc == 4
 
 
-POOL_FILES = {"bad.csv": "x0,x1\n1,2,3\n", "neg.csv": "x0,x1\n1,-2\n"}
+POOL_FILES = {"bad.csv": "x0,x1\n1,2,3\n", "neg.csv": "x0,x1\n1,-2\n",
+              "good.csv": "z0,z1\n0.4,0.6\n0.2,0.3\n"}
 
 
-@pytest.mark.parametrize("argv", [
-    ["diagnose", "--model", "ex1", "--pool", "missing.csv", "--seed", "1",
-     "--out-prefix", "d"],
-    ["diagnose", "--model", "ex1", "--pool", "bad.csv", "--seed", "1",
-     "--out-prefix", "d"],
-    ["diagnose", "--model", "ex1", "--pool", "neg.csv", "--seed", "1",
-     "--out-prefix", "d"],
-    ["support", "--model", "ex1", "--pool", "missing.csv", "--out", "s.json"],
-    ["support", "--model", "ex1", "--pool", "bad.csv", "--out", "s.json"],
-    ["support", "--model", "ex1", "--pool", "neg.csv", "--out", "s.json"],
-    ["simulate", "--model", "ex1", "--k", "0", "--rounds", "1", "--seed", "1",
-     "--out", "p.csv"],
-    ["simulate", "--model", "ex1", "--k", "10", "--rounds", "1", "--seed",
-     "1", "--out", "p.csv", "--init-tail-index", "-1"],
-    ["spectrum", "--model", "ex1", "--seed", "1", "--out-prefix", "s",
-     "--chain-n", "0"],
-    ["support", "--model", "ex1", "--length", "-1", "--out", "s.json"],
+@pytest.mark.parametrize("argv, says", [
+    (["diagnose", "--model", "ex1", "--pool", "missing.csv", "--seed", "1",
+      "--out-prefix", "d"], "missing.csv"),
+    (["diagnose", "--model", "ex1", "--pool", "bad.csv", "--seed", "1",
+      "--out-prefix", "d"], "malformed"),
+    (["diagnose", "--model", "ex1", "--pool", "neg.csv", "--seed", "1",
+      "--out-prefix", "d"], "nonnegative"),
+    (["support", "--model", "ex1", "--pool", "missing.csv", "--out", "s.json"],
+     "missing.csv"),
+    (["support", "--model", "ex1", "--pool", "bad.csv", "--out", "s.json"],
+     "malformed"),
+    (["support", "--model", "ex1", "--pool", "neg.csv", "--out", "s.json"],
+     "nonnegative"),
+    (["simulate", "--model", "ex1", "--k", "0", "--rounds", "1", "--seed", "1",
+      "--out", "p.csv"], "k must"),
+    (["simulate", "--model", "ex1", "--k", "10", "--rounds", "1", "--seed",
+      "1", "--out", "p.csv", "--init-tail-index", "-1"], "tail_index"),
+    (["spectrum", "--model", "ex1", "--seed", "1", "--out-prefix", "s",
+      "--chain-n", "0"], "chain length"),
+    (["support", "--model", "ex1", "--length", "-1", "--out", "s.json"],
+     "max_length"),
+    (["support", "--model", "ex1", "--pool", "good.csv", "--out", "s.json",
+      "--tol", "nan"], "tol"),
+    (["support", "--model", "ex1", "--pool", "good.csv", "--out", "s.json",
+      "--tol", "-1"], "tol"),
+    (["spectrum", "--model", "ex1", "--seed", "1", "--out-prefix", "s",
+      "--trials", "0"], "trials"),
+    (["spectrum", "--model", "ex1", "--seed", "1", "--out-prefix", "s",
+      "--chain-n", "8", "--trials", "100", "--lyap-trials", "0"], "trials"),
+    (["diagnose", "--model", "ex1", "--pool", "good.csv", "--seed", "1",
+      "--out-prefix", "d", "--probes", "0"], "probe count"),
 ], ids=["diagnose-missing", "diagnose-malformed", "diagnose-negative",
         "support-missing", "support-malformed", "support-negative",
         "simulate-k0", "simulate-tail-index", "spectrum-chain-n",
-        "support-length"])
-def test_bad_input_exit_code(tmp_path, monkeypatch, capsys, argv):
+        "support-length", "support-tol-nan", "support-tol-negative",
+        "spectrum-trials", "spectrum-lyap-trials", "diagnose-probes"])
+def test_bad_input_exit_code(tmp_path, monkeypatch, capsys, argv, says):
     monkeypatch.chdir(tmp_path)
     for name, text in POOL_FILES.items():
         (tmp_path / name).write_text(text)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert says in err and "zero-size" not in err
 
 
 def test_require_alpha_exit_code(tmp_path):

@@ -108,6 +108,15 @@ def test_branch_frequencies_match_probabilities(ex3):
     assert singles["a1"] / max(counts[1], 1) == pytest.approx(0.5, abs=3e-2)
 
 
+def test_branch_table_entry_stack(ex2, ex3):
+    for spec in (ex2, ex3):
+        table = spec.branch_table
+        assert np.array_equal(table.cols, table.mats.transpose(1, 2, 0))
+        assert not table.cols.flags.writeable
+        with pytest.raises(ValueError):
+            table.cols[0, 0, 0] = 1.0
+
+
 def test_validation_rejects_bad_specs():
     with pytest.raises(ValueError):  # probabilities must sum to one
         sl.ModelSpec(dim=2, kind="ExplicitAtoms",

@@ -3,12 +3,13 @@ import pytest
 from scipy.optimize import brentq
 
 import smoothing_lab as sl
-from smoothing_lab._common import spawn_generators
+from smoothing_lab._common import as_generator, spawn_generators
 from smoothing_lab.errors import (
     FurstenbergKestenViolated,
     NoSingletonBranch,
     WitnessNotFound,
 )
+from smoothing_lab.spectral import _chain_log_norms
 
 from conftest import A1, A2
 
@@ -83,6 +84,33 @@ def test_chain_moments_finite_at_extreme_orders(estimator, name, s, n):
                                            trials=2000, seed=0)
     assert np.isfinite(value) and value > 0
     assert np.isfinite(stderr) and stderr > 0
+
+
+CHAIN_LAWS = {
+    1: [(0.3, np.array([[0.5]])), (0.7, np.array([[0.8]]))],
+    2: [(0.25, A1), (0.25, A2), (0.5, np.array([[0.3, 0.1], [0.2, 0.4]]))],
+    3: [(p, np.random.default_rng(d).uniform(0.02, 0.3, (3, 3)))
+        for d, p in enumerate((0.2, 0.5, 0.3))],
+}
+
+
+@pytest.mark.parametrize("n", [33, 70])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_chain_log_norms_matches_reference_loop(d, n):
+    # chain by chain over the same draws: one atom per chain and step,
+    # multiplied on the left, with no renormalization
+    law = CHAIN_LAWS[d]
+    trials = 50
+    logs = _chain_log_norms(law, n, trials, seed=11)
+    rng = as_generator(11)
+    draws = [rng.choice(len(law), size=trials, p=[p for p, _ in law])
+             for _ in range(n)]
+    for t in range(trials):
+        prod = np.eye(d)
+        for ids in draws:
+            prod = law[ids[t]][1] @ prod
+        ref = np.log(np.abs(prod).sum(axis=0).max())
+        assert logs[t] == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_kappa_estimate_sequence_shares_chains(ex1):

@@ -165,6 +165,17 @@ def test_membership_examples():
         sl.membership(hull, np.array([-1.0, 1.0]))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_membership_rejects_bad_tolerance(tol):
+    # the zero vector takes the early exit, so it must be checked first
+    hull = hull_ex1()
+    for x in (np.zeros(2), np.array([1.0, 1.0])):
+        with pytest.raises(ValueError, match="tol"):
+            sl.membership(hull, x, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        membership_fractions(hull, np.array([[0.5, 0.5]]), tol=tol)
+
+
 def test_membership_scale_invariant():
     hull = hull_ex1()
     rng = np.random.default_rng(5)
@@ -358,4 +369,5 @@ def test_dyadic_reconstruction_property(theta, frac):
         partial += b * power
         assert partial <= x + 1e-15
     assert x - partial <= theta**60 / (1 - theta) + 1e-12
-    assert sl.dyadic_reconstruct(bits, theta) == pytest.approx(partial, abs=1e-9)
+    reconstructed = bits @ theta ** np.arange(1, bits.size + 1)
+    assert reconstructed == pytest.approx(partial, abs=1e-9)
