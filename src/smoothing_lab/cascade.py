@@ -11,7 +11,7 @@ folds the leaf level into the branch sums Y_b.
 """
 from __future__ import annotations
 
-import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,19 +270,21 @@ def _alive_counts(carriers, probes, thresholds) -> np.ndarray:
 
 
 def pool_to_csv(pool: SamplePool, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"z{i}" for i in range(pool.dim)])
-        for row in pool.samples:
-            writer.writerow([format(x, ".17g") for x in row])
+    np.savetxt(path, pool.samples, fmt="%.17g", delimiter=",",
+               header=",".join(f"z{i}" for i in range(pool.dim)),
+               comments="", newline="\r\n")
 
 
 def pool_from_csv(path, generation: int = 0) -> SamplePool:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(x) for x in row] for row in reader if row]
-    samples = np.asarray(rows, dtype=float)
-    if samples.ndim != 2 or samples.shape[1] != len(header):
+    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # loadtxt warns on a header-only file
+        header = fh.readline().rstrip("\n").split(",")
+        try:
+            samples = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"malformed pool snapshot: {exc}") from exc
+    if samples.shape[1] != len(header):
         raise ValueError("malformed pool snapshot")
+    if not np.isfinite(samples).all():
+        raise ValueError("pool snapshot holds non-finite values")
     return SamplePool(dim=samples.shape[1], samples=samples, generation=generation)

@@ -243,8 +243,7 @@ def cmd_diagnose(args) -> int:
         raise InputError("pool dimension does not match the model")
     prefix = Path(args.out_prefix)
 
-    curve = transform_curve(pool, radii=2.0 ** np.arange(0, args.max_exp + 1),
-                            n_probes=args.probes)
+    curve = transform_curve(pool, max_exp=args.max_exp, n_probes=args.probes)
     try:
         a_hat, ci = decay_fit(curve, seed=args.seed)
     except InsufficientDecay:

@@ -1,8 +1,8 @@
 """Empirical transforms of the fixed point and the survival-count statistics
 that drive characteristic-function decay.
 
-All estimators are pure folds over a sample pool; reductions use numpy's
-pairwise summation, so results do not depend on chunking order.
+All estimators are pure folds over a sample pool, reduced with numpy's
+pairwise summation; the transform curve squares its way up the dyadic radii.
 """
 from __future__ import annotations
 
@@ -56,27 +56,26 @@ class TransformCurve:
     probe_directions: np.ndarray
     modulus: np.ndarray
     stderr: float
-    fitted_exponent: tuple | None = None   # (a_hat, (lo, hi)) once fitted
 
 
-def transform_curve(pool, radii=None, n_probes: int | None = None) -> TransformCurve:
-    """Empirical sup-modulus curve over dyadic radii and a probe grid."""
-    if radii is None:
-        radii = 2.0 ** np.arange(0, 15)
-    radii = np.asarray(radii, dtype=float)
-    if np.any(np.diff(radii) <= 0):
-        raise ValueError("radii must be strictly increasing")
+def transform_curve(pool, max_exp: int = 14,
+                    n_probes: int | None = None) -> TransformCurve:
+    """Sup-modulus curve on the radii 2^0 .. 2^max_exp: exp(i 2r phi) is
+    exp(i r phi) squared, so one exp at radius 1, then a squaring per radius."""
+    if max_exp < 0:
+        raise ValueError(f"max_exp must be >= 0, got {max_exp}")
     if n_probes is None:
         n_probes = 32 if pool.dim <= 2 else 128
     probes = sphere_grid(pool.dim, n_probes)
-    base_phases = pool.samples @ probes.T          # (K, P)
-    modulus = np.empty_like(radii)
-    for i, r in enumerate(radii):
-        vals = np.exp(1j * r * base_phases).mean(axis=0)
-        modulus[i] = np.abs(vals).max()
+    e = np.exp(1j * (pool.samples @ probes.T))     # (K, P) at radius 1
+    modulus = np.empty(max_exp + 1)
+    for i in range(max_exp + 1):
+        modulus[i] = np.abs(e.mean(axis=0)).max()
+        if i < max_exp:
+            np.square(e, out=e)
     return TransformCurve(
-        radii=radii, probe_directions=probes, modulus=modulus,
-        stderr=1.0 / np.sqrt(pool.size),
+        radii=2.0 ** np.arange(max_exp + 1), probe_directions=probes,
+        modulus=modulus, stderr=1.0 / np.sqrt(pool.size),
     )
 
 
@@ -90,19 +89,11 @@ def decay_fit(curve: TransformCurve, max_modulus: float = 0.9,
     min_points radii qualify.
     """
     ok = curve.modulus < max_modulus
-    # contiguous qualifying tail
-    start = None
-    for i in range(len(ok) - 1, -1, -1):
-        if not ok[i]:
-            break
-        start = i
-    if start is None or len(ok) - start < min_points:
-        raise InsufficientDecay(
-            f"only {0 if start is None else len(ok) - start} radii below "
-            f"{max_modulus}"
-        )
-    x = np.log(curve.radii[start:])
-    y = np.log(curve.modulus[start:])
+    tail = ok.size if ok.all() else int(np.argmin(ok[::-1]))  # contiguous run
+    if tail < min_points:
+        raise InsufficientDecay(f"only {tail} radii below {max_modulus}")
+    x = np.log(curve.radii[ok.size - tail:])
+    y = np.log(curve.modulus[ok.size - tail:])
     design = np.vstack([x, np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
@@ -115,7 +106,6 @@ def decay_fit(curve: TransformCurve, max_modulus: float = 0.9,
         boots[b] = -cb[0]
     lo, hi = np.quantile(boots, [0.025, 0.975])
     ci = (float(min(lo, a_hat)), float(max(hi, a_hat)))
-    curve.fitted_exponent = (float(a_hat), ci)
     return float(a_hat), ci
 
 

@@ -245,16 +245,25 @@ def mu_mean(spec: ModelSpec) -> np.ndarray:
     return mean_sum_matrix(spec) / expected_n(spec)
 
 
+def _find_matrix(pairs, m) -> int | None:
+    """Index of the first (weight, matrix) pair whose matrix equals m up to
+    _MATRIX_TOL relative to max|m|, so the match does not depend on scale."""
+    for i, (_, mi) in enumerate(pairs):
+        if (mi.shape == m.shape
+                and np.abs(mi - m).max() <= _MATRIX_TOL * np.abs(m).max()):
+            return i
+    return None
+
+
 def _merge_weighted(pairs) -> list:
     """Merge (weight, matrix) pairs whose matrices agree within tolerance."""
     merged: list = []
     for w, m in pairs:
-        for i, (wi, mi) in enumerate(merged):
-            if mi.shape == m.shape and np.abs(mi - m).max() < _MATRIX_TOL:
-                merged[i] = (wi + w, mi)
-                break
-        else:
+        i = _find_matrix(merged, m)
+        if i is None:
             merged.append((w, m))
+        else:
+            merged[i] = (merged[i][0] + w, merged[i][1])
     return merged
 
 
@@ -327,13 +336,6 @@ def check_iid_coefficients(spec: ModelSpec, tol: float = 1e-9) -> bool:
     if spec.kind == KIND_IID:
         return True
     mu = mu_atom_law(spec)
-
-    def mu_mass(m) -> float | None:
-        for q, mm in mu:
-            if np.abs(mm - m).max() < _MATRIX_TOL:
-                return q
-        return None
-
     table = spec.branch_table
     by_n: dict = {}
     for b, p in enumerate(table.probs):
@@ -341,13 +343,10 @@ def check_iid_coefficients(spec: ModelSpec, tol: float = 1e-9) -> bool:
     for n, group in by_n.items():
         pn = sum(p for p, _ in group)
         for p, br in group:
-            masses = []
-            for m in br:
-                q = mu_mass(m)
-                if q is None:
-                    return False
-                masses.append(q)
-            if abs(p / pn - float(np.prod(masses))) > tol:
+            found = [_find_matrix(mu, m) for m in br]
+            if None in found:
+                return False
+            if abs(p / pn - float(np.prod([mu[i][0] for i in found]))) > tol:
                 return False
     return True
 

@@ -267,7 +267,7 @@ def test_a10_ecf_decay_evidence(ex2):
     assert floor >= 2.0
 
     pool, _ = sl.run_fixed_point(ex2, k=100_000, rounds=50, seed=1002)
-    curve = sl.transform_curve(pool, radii=2.0 ** np.arange(0, 15), n_probes=32)
+    curve = sl.transform_curve(pool, max_exp=14, n_probes=32)
     assert curve.radii[-1] == 2.0**14
     assert curve.modulus[-1] < 0.2
     a_hat, (lo, hi) = sl.decay_fit(curve, seed=3)

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -249,3 +252,46 @@ def test_pool_csv_roundtrip(tmp_path, ex1):
     sl.pool_to_csv(pool, path)
     again = sl.pool_from_csv(path)
     assert np.array_equal(again.samples, pool.samples)
+
+
+_EDGE_VALUES = [5e-324, 1e-300, 1e300, 0.1, 0.0, 1.0, 7.0, 123456789.0,
+                1 / 3, 2.0 ** 0.5, 1.7976931348623157e308, 2.2250738585072014e-308]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_pool_csv_bytes_match_csv_writer(tmp_path, dim):
+    # subnormal, extreme, decimal-inexact and whole values, one row per sample
+    rng = np.random.default_rng(dim)
+    values = np.array(_EDGE_VALUES + list(rng.exponential(size=3 * dim)))
+    samples = rng.permutation(np.resize(values, values.size * dim))
+    pool = sl.SamplePool(dim=dim, samples=samples.reshape(-1, dim))
+    path = tmp_path / "pool.csv"
+    sl.pool_to_csv(pool, path)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow([f"z{i}" for i in range(dim)])
+    for row in pool.samples:
+        writer.writerow([format(x, ".17g") for x in row])
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
+    again = sl.pool_from_csv(path)
+    assert again.dim == dim
+    assert again.samples.tobytes() == pool.samples.tobytes()
+
+
+@pytest.mark.parametrize("text, says", [
+    ("z0,z1\n1,2\n1,2,3\n", "malformed"),
+    ("z0,z1\n1,2,3\n", "malformed"),
+    ("z0,z1\n1,x\n", "malformed"),
+    ("z0,z1\n", "malformed"),
+    ("z0\n", "at least one sample"),
+    ("", "at least one sample"),
+    ("z0,z1\n0.5,nan\n", "non-finite"),
+    ("z0,z1\n0.5,inf\n", "non-finite"),
+    ("z0,z1\n0.5,-1\n", "nonnegative"),
+], ids=["ragged", "wide", "text", "header-only", "header-only-1d", "empty",
+        "nan", "inf", "negative"])
+def test_pool_from_csv_rejects_bad_files(tmp_path, text, says):
+    path = tmp_path / "pool.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=says):
+        sl.pool_from_csv(path)

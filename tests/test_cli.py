@@ -193,7 +193,9 @@ def test_budget_exit_code(tmp_path, monkeypatch):
 
 
 POOL_FILES = {"bad.csv": "x0,x1\n1,2,3\n", "neg.csv": "x0,x1\n1,-2\n",
-              "good.csv": "z0,z1\n0.4,0.6\n0.2,0.3\n"}
+              "good.csv": "z0,z1\n0.4,0.6\n0.2,0.3\n",
+              "nan.csv": "z0,z1\n0.4,0.6\nnan,0.3\n",
+              "inf.csv": "z0,z1\n0.4,inf\n0.2,0.3\n"}
 
 
 @pytest.mark.parametrize("argv, says", [
@@ -227,11 +229,23 @@ POOL_FILES = {"bad.csv": "x0,x1\n1,2,3\n", "neg.csv": "x0,x1\n1,-2\n",
       "--chain-n", "8", "--trials", "100", "--lyap-trials", "0"], "trials"),
     (["diagnose", "--model", "ex1", "--pool", "good.csv", "--seed", "1",
       "--out-prefix", "d", "--probes", "0"], "probe count"),
+    (["diagnose", "--model", "ex1", "--pool", "nan.csv", "--seed", "1",
+      "--out-prefix", "d"], "non-finite"),
+    (["diagnose", "--model", "ex1", "--pool", "inf.csv", "--seed", "1",
+      "--out-prefix", "d"], "non-finite"),
+    (["support", "--model", "ex1", "--pool", "nan.csv", "--out", "s.json"],
+     "non-finite"),
+    (["support", "--model", "ex1", "--pool", "inf.csv", "--out", "s.json"],
+     "non-finite"),
+    (["diagnose", "--model", "ex1", "--pool", "good.csv", "--seed", "1",
+      "--out-prefix", "d", "--max-exp", "-1"], "max_exp"),
 ], ids=["diagnose-missing", "diagnose-malformed", "diagnose-negative",
         "support-missing", "support-malformed", "support-negative",
         "simulate-k0", "simulate-tail-index", "spectrum-chain-n",
         "support-length", "support-tol-nan", "support-tol-negative",
-        "spectrum-trials", "spectrum-lyap-trials", "diagnose-probes"])
+        "spectrum-trials", "spectrum-lyap-trials", "diagnose-probes",
+        "diagnose-nan", "diagnose-inf", "support-nan", "support-inf",
+        "diagnose-max-exp"])
 def test_bad_input_exit_code(tmp_path, monkeypatch, capsys, argv, says):
     monkeypatch.chdir(tmp_path)
     for name, text in POOL_FILES.items():

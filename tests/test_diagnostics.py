@@ -61,6 +61,29 @@ def test_laplace_monotone(small_pool_ex1):
         sl.laplace_estimate(small_pool_ex1, np.array([-1.0, 0.0]))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("max_exp", [0, 14])
+def test_transform_curve_matches_per_radius_exp(pool_ex2, dim, max_exp):
+    # the squared ladder against one exp per radius on the same phases
+    if dim == 2:
+        pool = pool_ex2
+    else:
+        rng = np.random.default_rng(5)
+        pool = sl.SamplePool(dim=3, samples=rng.exponential(size=(2000, 3)))
+    curve = sl.transform_curve(pool, max_exp=max_exp)
+    radii = 2.0 ** np.arange(max_exp + 1)
+    phases = pool.samples @ curve.probe_directions.T
+    ref = [np.abs(np.exp(1j * r * phases).mean(axis=0)).max() for r in radii]
+    assert np.array_equal(curve.radii, radii)
+    assert curve.probe_directions.shape[0] == (32 if dim == 2 else 128)
+    np.testing.assert_allclose(curve.modulus, ref, rtol=0, atol=1e-12)
+
+
+def test_transform_curve_rejects_negative_max_exp(small_pool_ex1):
+    with pytest.raises(ValueError, match="max_exp"):
+        sl.transform_curve(small_pool_ex1, max_exp=-1)
+
+
 def test_decay_fit_exact_power_law():
     radii = 2.0 ** np.arange(0, 12)
     curve = sl.TransformCurve(

@@ -194,6 +194,23 @@ def test_iid_check(ex1, ex2, ex3):
     assert sl.check_iid_coefficients(flat)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-12, 1e12])
+def test_mu_law_merge_is_scale_invariant(ex3, scale):
+    # the merge and the i.i.d. mass lookup compare matrices relative to their
+    # size, so scaling every matrix changes no atom count
+    scaled = sl.ModelSpec(dim=2, kind="ExplicitAtoms", atoms=tuple(
+        (p, tuple(scale * m for m in br)) for p, br in ex3.atoms))
+    assert len(sl.mu_atom_law(scaled)) == 2
+    assert len(sl.conditioned_a1_atoms(scaled)) == 2
+    flat = sl.ModelSpec(dim=2, kind="ExplicitAtoms", atoms=tuple(
+        (0.25, (scale * a, scale * b)) for a in (A1, A2) for b in (A1, A2)))
+    assert sl.check_iid_coefficients(flat)
+    # matrices that differ in a leading digit stay apart at every scale
+    near = sl.ModelSpec(dim=2, kind="ExplicitAtoms", atoms=(
+        (1.0, (scale * A1, scale * A1 * (1 + 1e-9))),))
+    assert len(sl.mu_atom_law(near)) == 2
+
+
 def test_json_roundtrip(tmp_path, ex2):
     path = tmp_path / "model.json"
     sl.save_model(ex2, path)
