@@ -8,6 +8,8 @@ than claiming the closure itself.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,7 @@ from .models import ModelSpec, mu_support
 MATRIX_DEDUP_TOL = 1e-12
 DIRECTION_DEDUP_TOL = 1e-10
 _AFFINE_RANK_TOL = 1e-10      # smaller singular values do not count in a hull's rank
+_COLLINEAR_TOL = 1e-14        # a point this near its neighbours' line is no corner
 _RADIUS_MARGIN = 1e-9
 
 
@@ -31,6 +34,16 @@ class SemigroupEnumeration:
     max_length: int
     words: tuple                 # tuple of index tuples, () = identity
     elements: tuple              # matrices, words[i] multiplies to elements[i]
+
+    @functools.cached_property
+    def eigen_directions(self) -> tuple:
+        """(direction, word) pairs of lambda_set, computed once."""
+        positive = [(w, m) for w, m in zip(self.words, self.elements)
+                    if np.all(m > 0)]
+        dirs = [pf_decompose(m).right for _, m in positive]
+        for v in dirs:
+            v.flags.writeable = False     # shared by every caller
+        return tuple((dirs[i], positive[i][0]) for i in _distinct(dirs))
 
 
 def enumerate_semigroup(spec_or_generators, max_length: int,
@@ -99,10 +112,13 @@ def _distinct(vectors) -> list:
     """Indices of the vectors kept by a first-come dedup: a vector is
     dropped when an earlier kept one is within DIRECTION_DEDUP_TOL in max
     norm."""
+    vectors = np.asarray(vectors, dtype=float)
+    rows = np.empty_like(vectors)     # rows[:len(kept)] are the kept vectors
     kept: list = []
     for i, v in enumerate(vectors):
-        if not any(np.abs(v - vectors[j]).max() < DIRECTION_DEDUP_TOL
-                   for j in kept):
+        if not np.any(np.abs(rows[:len(kept)] - v).max(axis=1)
+                      < DIRECTION_DEDUP_TOL):
+            rows[len(kept)] = v
             kept.append(i)
     return kept
 
@@ -111,12 +127,10 @@ def lambda_set(enum: SemigroupEnumeration) -> list:
     """Perron eigen-directions of the strictly positive elements.
 
     Returns (direction, word) pairs deduplicated at a tight tolerance; the
-    word is the first product that produced the direction.
+    word is the first product that produced the direction.  The pairs are
+    computed once per enumeration (`SemigroupEnumeration.eigen_directions`).
     """
-    positive = [(w, m) for w, m in zip(enum.words, enum.elements)
-                if np.all(m > 0)]
-    dirs = [pf_decompose(m).right for _, m in positive]
-    return [(dirs[i], positive[i][0]) for i in _distinct(dirs)]
+    return list(enum.eigen_directions)
 
 
 def lambda_stability(enum: SemigroupEnumeration) -> bool:
@@ -127,7 +141,7 @@ def lambda_stability(enum: SemigroupEnumeration) -> bool:
     found by a word of the full length.
     """
     return enum.max_length >= 1 and all(
-        len(word) < enum.max_length for _, word in lambda_set(enum))
+        len(word) < enum.max_length for _, word in enum.eigen_directions)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +157,8 @@ class ConeHull:
     With y = x - origin and c = y @ basis.T, a unit-L1 direction x is in the
     hull when |y - c @ basis|_1 <= tol (x lies in the affine hull) and
     c @ normals.T - offsets <= tol (x is inside every facet).  Membership of
-    x >= 0 means x = 0 or x/|x| is in the hull.
+    x >= 0 means x = 0 or x/|x| is in the hull.  A planar hull (r = 2) has
+    one facet per edge of its polygon, in counter-clockwise order.
     """
 
     directions: np.ndarray       # (m, d) unit-L1, deduplicated
@@ -154,10 +169,22 @@ class ConeHull:
     offsets: np.ndarray          # (f,)
 
 
+def _check_finite(a: np.ndarray, name: str) -> None:
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite")
+
+
 def cone_hull(directions) -> ConeHull:
+    """The hull of unit-L1 directions in their affine hull of rank r.
+
+    A point (r = 0) or a segment (r = 1) is held by its coordinate range, a
+    polygon (r = 2, every 3-dim model) by Andrew's monotone chain, and a
+    hull of rank 3 or more by Qhull.
+    """
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     if dirs.shape[0] < 1:
         raise ValueError("need at least one direction")
+    _check_finite(dirs, "directions")
     sums = dirs.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > 1e-9) or np.any(dirs < 0):
         raise ValueError("directions must be nonnegative with unit L1 norm")
@@ -168,7 +195,15 @@ def cone_hull(directions) -> ConeHull:
     basis = vt[: int((sv > _AFFINE_RANK_TOL).sum())]
     y = (dirs - origin) @ basis.T
     r = basis.shape[0]
-    if r >= 2:
+    if r == 2:
+        ring = _polygon_ring(y)
+        extremes = dirs[np.sort(ring)]
+        # edge p -> q of the counter-clockwise ring, turned by -90 degrees
+        p = y[ring]
+        edges = np.roll(p, -1, axis=0) - p
+        normals = edges[:, ::-1] * [1.0, -1.0] / np.hypot(*edges.T)[:, None]
+        offsets = (normals * p).sum(axis=1)
+    elif r >= 3:
         from scipy.spatial import ConvexHull
 
         hull = ConvexHull(y, qhull_options="QJ")
@@ -184,9 +219,33 @@ def cone_hull(directions) -> ConeHull:
                     basis=basis, normals=normals, offsets=offsets)
 
 
+def _polygon_ring(y: np.ndarray) -> np.ndarray:
+    """Corners of the hull of planar points y (n, 2), counter-clockwise, by
+    Andrew's monotone chain; collinear boundary points are not corners."""
+    pts = y.tolist()
+
+    def chain(order):
+        out: list = []
+        for i in order:
+            bx, by = pts[i]
+            while len(out) >= 2:
+                (ox, oy), (ax, ay) = pts[out[-2]], pts[out[-1]]
+                turn = (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+                if turn > _COLLINEAR_TOL * math.hypot(bx - ox, by - oy):
+                    break
+                out.pop()
+            out.append(i)
+        return out
+
+    order = np.lexsort((y[:, 1], y[:, 0])).tolist()
+    lower, upper = chain(order), chain(order[::-1])
+    return np.array(lower[:-1] + upper[:-1])
+
+
 def membership(hull: ConeHull, x, tol: float = 1e-9) -> bool:
     """Whether x >= 0 lies in the cone over the hull (scale invariant)."""
     x = np.asarray(x, dtype=float)
+    _check_finite(x, "x")
     if np.any(x < 0):
         raise NegativeInput("membership is defined on the nonnegative cone")
     _check_tol(tol)
@@ -205,6 +264,7 @@ def membership_fractions(hull: ConeHull, dirs: np.ndarray,
                          tol: float = 1e-9) -> np.ndarray:
     """Vectorized membership for an (n, d) stack of unit-L1 directions."""
     _check_tol(tol)
+    _check_finite(dirs, "dirs")
     y = dirs - hull.origin
     coords = y @ hull.basis.T
     in_span = np.abs(y - coords @ hull.basis).sum(axis=1) <= tol

@@ -1,9 +1,11 @@
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import smoothing_lab
@@ -27,15 +29,34 @@ def test_no_unused_module_imports(path):
     assert {n: line for n, line in imported.items() if n not in used} == {}
 
 
-def test_two_dim_support_never_imports_scipy(tmp_path):
-    # the cone of a 2-dim model is a segment; only hulls of affine rank >= 2
-    # need Qhull, so this path must not pay for importing scipy
-    code = """
+# a 3-dim model shaped like ex3: 1/4 [B0], 1/4 [B1], 1/2 [B0, B1, B2], with
+# the mean's spectral radius at 1
+_B = np.array([[[0.6, 0.1, 0.3], [0.2, 0.5, 0.2], [0.1, 0.3, 0.7]],
+               [[0.3, 0.6, 0.1], [0.4, 0.2, 0.5], [0.2, 0.1, 0.3]],
+               [[0.1, 0.2, 0.2], [0.3, 0.1, 0.1], [0.5, 0.4, 0.2]]])
+_B /= np.abs(np.linalg.eigvals(0.75 * (_B[0] + _B[1]) + 0.5 * _B[2])).max()
+SING3 = {"dim": 3, "kind": "ExplicitAtoms", "atoms": [
+    {"prob": 0.25, "branch": [_B[0].tolist()]},
+    {"prob": 0.25, "branch": [_B[1].tolist()]},
+    {"prob": 0.5, "branch": _B.tolist()},
+]}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_support_below_four_dims_never_imports_scipy(tmp_path, dim):
+    # a 2-dim model's cone is a segment and a 3-dim model's a polygon, both
+    # in closed form; only hulls of affine rank >= 3 need Qhull, so these
+    # paths must not pay for importing scipy
+    model = "ex1"
+    if dim == 3:
+        model = str(tmp_path / "sing3.json")
+        Path(model).write_text(json.dumps(SING3), encoding="utf-8")
+    code = f"""
 import sys
 from smoothing_lab.cli import main
-assert main(["simulate", "--model", "ex1", "--k", "2000", "--rounds", "10",
+assert main(["simulate", "--model", {model!r}, "--k", "2000", "--rounds", "10",
              "--seed", "1", "--out", "pool.csv"]) == 0
-assert main(["support", "--model", "ex1", "--pool", "pool.csv",
+assert main(["support", "--model", {model!r}, "--pool", "pool.csv",
              "--out", "support.json"]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
@@ -46,3 +67,5 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    hull = json.loads((tmp_path / "support.json").read_text())["hull_extremes"]
+    assert len(hull) >= dim and len(hull[0]) == dim   # a polygon for dim 3

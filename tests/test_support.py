@@ -176,6 +176,24 @@ def test_membership_rejects_bad_tolerance(tol):
         membership_fractions(hull, np.array([[0.5, 0.5]]), tol=tol)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: sl.cone_hull([[NAN, NAN]]), "directions"),
+    (lambda: sl.cone_hull([[0.5, 0.5], [INF, 0.0]]), "directions"),
+    (lambda: sl.membership(hull_ex1(), [NAN, 1.0]), "x"),
+    (lambda: sl.membership(hull_ex1(), [1.0, INF]), "x"),
+    (lambda: membership_fractions(hull_ex1(), np.array([[0.5, 0.5], [NAN, NAN]])),
+     "dirs"),
+    (lambda: membership_fractions(hull_ex1(), np.array([[INF, 0.0]])), "dirs"),
+], ids=["hull-nan", "hull-inf", "membership-nan", "membership-inf",
+        "fractions-nan", "fractions-inf"])
+def test_cone_rejects_non_finite_input(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call()
+
+
 def test_membership_scale_invariant():
     hull = hull_ex1()
     rng = np.random.default_rng(5)
@@ -234,27 +252,80 @@ def lp_membership(directions, x, tol):
     return bool(res.status == 0 and res.fun <= tol)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_membership_fractions_matches_lp(seed):
+def inside_and_outside(rng, ext):
+    """40 convex combinations of the extremes, then each extreme pushed 5 %
+    away from their mean (those still >= 0), renormalised; and the count of
+    the pushed ones."""
+    centre = ext.mean(axis=0)
+    outside = centre + 1.05 * (ext - centre)
+    outside = outside[(outside >= 0).all(axis=1)]
+    return np.vstack([rng.dirichlet(np.ones(len(ext)), size=40) @ ext,
+                      outside / outside.sum(axis=1, keepdims=True)]), len(outside)
+
+
+@pytest.mark.parametrize("d, seed", [(3, s) for s in range(6)] + [(4, 0), (4, 3)],
+                         ids=[str(s) for s in range(6)] + ["d4-0", "d4-3"])
+def test_membership_fractions_matches_lp(d, seed):
+    # d = 3 hulls are polygons (closed form), d = 4 ones polytopes (Qhull)
     from scipy.spatial import ConvexHull
 
     rng = np.random.default_rng(seed)
-    hull = sl.cone_hull(rng.dirichlet(np.ones(3), size=4 + 2 * seed))
+    hull = sl.cone_hull(rng.dirichlet(np.ones(d), size=4 + 2 * seed))
+    assert hull.basis.shape[0] == d - 1
     ext = hull.extremes
-    centre = ext.mean(axis=0)
-    edges = ConvexHull(ext[:, :2]).simplices
-    outside = centre + 1.05 * (ext - centre)
-    outside = outside[(outside >= 0).all(axis=1)]
+    facets = ConvexHull(ext[:, :-1]).simplices
+    probes, n_out = inside_and_outside(rng, ext)
     points = np.vstack([
-        rng.dirichlet(np.ones(len(ext)), size=40) @ ext,   # interior
-        outside / outside.sum(axis=1, keepdims=True),      # exterior
-        rng.dirichlet(np.ones(3), size=40),                # anywhere
-        0.5 * (ext[edges[:, 0]] + ext[edges[:, 1]]),       # boundary
+        probes,
+        rng.dirichlet(np.ones(d), size=40),                # anywhere
+        ext[facets].mean(axis=1),                          # boundary
         ext,                                               # extremes
     ])
     expected = [lp_membership(hull.directions, x, 1e-9) for x in points]
-    assert len(outside) and not any(expected[40:40 + len(outside)])
+    assert n_out and not any(expected[40:40 + n_out])
     assert membership_fractions(hull, points).tolist() == expected
+
+
+def planar_set(rng):
+    """Unit-L1 3-vectors with collinear points on the hull's edges and
+    near-duplicates 1e-9 to 1e-8 from some points, corners among them."""
+    from scipy.spatial import ConvexHull
+
+    base = rng.dirichlet(np.ones(3), size=int(rng.integers(3, 30)))
+    ring = ConvexHull(base[:, :2]).simplices
+    a, b = base[ring[:, 0]], base[ring[:, 1]]
+    on_edges = [(1 - w) * a + w * b for w in (0.5, 0.25, 0.1)]
+    picked = base[rng.choice(len(base), size=min(len(base), 6), replace=False)]
+    near = np.abs(picked + rng.uniform(-1, 1, picked.shape)
+                  * rng.uniform(1e-9, 1e-8, (len(picked), 1)))
+    near /= near.sum(axis=1, keepdims=True)
+    dirs = np.vstack([base, *on_edges, near])
+    return dirs[rng.permutation(len(dirs))]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_planar_hull_matches_qhull(seed):
+    # reference: Qhull's hull of the first two coordinates, an affine image
+    # of the simplex plane, without joggling
+    from scipy.spatial import ConvexHull
+
+    rng = np.random.default_rng(seed)
+    hull = sl.cone_hull(planar_set(rng))
+    assert hull.basis.shape[0] == 2
+    ref = ConvexHull(hull.directions[:, :2])
+    corners = np.unique(ref.vertices)
+    assert hull.extremes.tolist() == hull.directions[corners].tolist()
+
+    probes, n_out = inside_and_outside(rng, hull.extremes)
+    points = np.vstack([
+        probes,
+        hull.directions[ref.simplices].mean(axis=1),       # edge midpoints
+        hull.directions,                                   # every input
+    ])
+    expected = np.all(points[:, :2] @ ref.equations[:, :2].T
+                      + ref.equations[:, 2] <= 1e-9, axis=1)
+    assert n_out and not expected[40:40 + n_out].any()
+    assert membership_fractions(hull, points).tolist() == expected.tolist()
 
 
 def test_collinear_hull_three_dimensional():
@@ -279,6 +350,41 @@ def test_direction_dedup_keeps_first(ex2):
     enum = sl.enumerate_semigroup(ex2, 3)
     words = [w for w, m in zip(enum.words, enum.elements) if np.all(m > 0)]
     assert [w for _, w in sl.lambda_set(enum)][0] == words[0]
+
+
+def test_direction_dedup_compares_with_kept_only():
+    # the middle vector is dropped for the first; the last is near the
+    # dropped one only, so it stays
+    v = np.array([0.5, 0.25, 0.25])
+    step = np.array([6e-11, -6e-11, 0.0])
+    hull = sl.cone_hull([v, v + step, v + 2 * step, [0.25, 0.5, 0.25]])
+    assert hull.directions.tolist() == [v.tolist(), (v + 2 * step).tolist(),
+                                        [0.25, 0.5, 0.25]]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_distinct_matches_reference_loop(seed):
+    # clusters whose spread straddles DIRECTION_DEDUP_TOL
+    from smoothing_lab.support import DIRECTION_DEDUP_TOL, _distinct
+
+    rng = np.random.default_rng(seed)
+    centres = rng.dirichlet(np.ones(3), size=20)
+    vecs = (centres[rng.integers(0, 20, size=300)]
+            + rng.uniform(-1.5, 1.5, (300, 3)) * DIRECTION_DEDUP_TOL)
+    kept: list = []
+    for i, v in enumerate(vecs):
+        if not any(np.abs(v - vecs[j]).max() < DIRECTION_DEDUP_TOL for j in kept):
+            kept.append(i)
+    assert _distinct(vecs) == kept
+    assert _distinct(list(vecs)) == kept and _distinct([]) == []
+
+
+def test_eigen_directions_computed_once(ex2):
+    enum = sl.enumerate_semigroup(ex2, 3)
+    first = sl.lambda_set(enum)
+    again = sl.lambda_set(enum)
+    assert first is not again and all(v is w for (v, _), (w, _) in zip(first, again))
+    assert not first[0][0].flags.writeable
 
 
 def test_empirical_support_degenerate_pool():
