@@ -13,8 +13,6 @@ import numpy as np
 
 from .errors import BudgetExceeded
 
-SeedLike = "int | np.random.SeedSequence | np.random.Generator"
-
 BUDGET_ENV_VAR = "SMOOTHING_LAB_BUDGET"
 DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_ELEMENT_BUDGET = 200_000

@@ -28,6 +28,8 @@ from .models import BranchTable, ModelSpec, expected_n, mean_sum_matrix, mu_mean
 
 _TREE_CHUNK = 512
 _ALIVE_BLOCK = 4096
+# |A^T t| counts as zero up to ZERO_TOL |t|, here and in kill_counts
+ZERO_TOL = 1e-12
 
 
 @dataclass
@@ -60,14 +62,15 @@ class SamplePool:
         return self.samples[keep] / n[keep, None]
 
 
-def constant_pool(init, k: int, generation: int = 0) -> SamplePool:
+def constant_pool(init, k: int) -> SamplePool:
     init = np.asarray(init, dtype=float)
-    return SamplePool(dim=init.size, samples=np.tile(init, (k, 1)), generation=generation)
+    return SamplePool(dim=init.size, samples=np.tile(init, (k, 1)))
 
 
-def heavy_tail_pool(spec: ModelSpec, k: int, tail_index: float, seed,
-                    direction=None) -> SamplePool:
-    """Pool of c * direction with c Pareto(tail_index).
+def heavy_tail_pool(spec: ModelSpec, k: int, tail_index: float,
+                    seed) -> SamplePool:
+    """Pool of c * v with c Pareto(tail_index) and v the Perron direction of
+    the mean sum matrix.
 
     Regularly varying initial conditions are the basin of the fixed point
     when the mean matrix has spectral radius below one (the point-mass
@@ -76,9 +79,7 @@ def heavy_tail_pool(spec: ModelSpec, k: int, tail_index: float, seed,
     if not 0 < tail_index:
         raise ValueError("tail_index must be positive")
     rng = as_generator(seed)
-    if direction is None:
-        direction = pf_decompose(mean_sum_matrix(spec)).right
-    direction = np.asarray(direction, dtype=float)
+    direction = pf_decompose(mean_sum_matrix(spec)).right
     w = rng.uniform(size=k) ** (-1.0 / tail_index)
     return SamplePool(dim=spec.dim, samples=w[:, None] * direction[None, :])
 
@@ -224,12 +225,11 @@ def martingale_samples(spec: ModelSpec, depth: int, trials: int, seed,
 
 
 def survival_counts(spec: ModelSpec, probes, depth: int, seed,
-                    zero_tol: float = 1e-12,
                     node_budget: int | None = None) -> np.ndarray:
     """Counts of depth-l nodes with G_u^T t != 0, per level and probe.
 
     Returns an integer array of shape (depth + 1, n_probes) for one simulated
-    tree; G_u^T t is declared nonzero when its L1 norm exceeds zero_tol |t|.
+    tree; G_u^T t is declared nonzero when its L1 norm exceeds ZERO_TOL |t|.
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     if not probes.any(axis=1).all():
@@ -240,7 +240,7 @@ def survival_counts(spec: ModelSpec, probes, depth: int, seed,
     levels = _grow_forest(table, depth, 1, rng, budget)
     mats_t = table.mats.transpose(0, 2, 1)
 
-    thresholds = zero_tol * np.abs(probes).sum(axis=1)
+    thresholds = ZERO_TOL * np.abs(probes).sum(axis=1)
     counts = np.empty((depth + 1, probes.shape[0]), dtype=np.int64)
     # carriers[u] = G_u^T, propagated as G_(ui)^T = A_(ui)^T G_u^T
     carriers = np.eye(spec.dim)[None, :, :]
@@ -275,7 +275,7 @@ def pool_to_csv(pool: SamplePool, path) -> None:
                comments="", newline="\r\n")
 
 
-def pool_from_csv(path, generation: int = 0) -> SamplePool:
+def pool_from_csv(path) -> SamplePool:
     with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # loadtxt warns on a header-only file
         header = fh.readline().rstrip("\n").split(",")
@@ -287,4 +287,4 @@ def pool_from_csv(path, generation: int = 0) -> SamplePool:
         raise ValueError("malformed pool snapshot")
     if not np.isfinite(samples).all():
         raise ValueError("pool snapshot holds non-finite values")
-    return SamplePool(dim=samples.shape[1], samples=samples, generation=generation)
+    return SamplePool(dim=samples.shape[1], samples=samples)

@@ -2,8 +2,8 @@
 
 Subcommands: simulate, spectrum, support, diagnose, check.  Every sampling
 subcommand requires --seed; outputs are CSV (17 significant digits, so runs
-hash identically) plus JSON summaries, and each run writes a manifest that
-reproduces it byte for byte.
+hash identically) plus JSON summaries, and each run but check's writes a
+manifest that reproduces it byte for byte.
 
 Exit codes: 0 success, 2 input error, 3 computation error, 4 budget error.
 """
@@ -168,8 +168,8 @@ def cmd_spectrum(args) -> int:
     if args.require_alpha and profile.alpha is None:
         raise NoConvergence("no moment-root found and --require-alpha is set")
     prefix = Path(args.out_prefix)
-    csv_path = prefix.with_suffix(".csv")
-    json_path = prefix.with_suffix(".json")
+    csv_path = prefix.with_name(prefix.name + ".csv")
+    json_path = prefix.with_name(prefix.name + ".json")
     rows = []
     for i, s in enumerate(profile.s_grid):
         kt = profile.kappa_tilde.get(float(s), "")
@@ -190,7 +190,7 @@ def cmd_spectrum(args) -> int:
             "lyap_trials": args.lyap_trials, "grid_size": args.grid_size,
         },
         output_paths=[str(csv_path), str(json_path)],
-    ).write(prefix.with_suffix(".manifest.json"))
+    ).write(prefix.with_name(prefix.name + ".manifest.json"))
     return 0
 
 

@@ -11,10 +11,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._common import as_generator
+from .cascade import ZERO_TOL
 from .errors import EmptyTail, InsufficientDecay
 from .models import ModelSpec
 
 _PROBE_STREAM = 0xD1A6005E
+_DECAY_MAX_MODULUS = 0.9      # radii whose modulus stays below this are fitted
+_DECAY_MIN_POINTS = 5
+_DECAY_BOOTSTRAPS = 500
+_SMALL_BALL_BOOTSTRAPS = 60
+_STABILITY_RTOL = 0.05        # harmonic-moment ladder steps within this are stable
 
 
 def sphere_grid(dim: int, n: int) -> np.ndarray:
@@ -79,19 +85,17 @@ def transform_curve(pool, max_exp: int = 14,
     )
 
 
-def decay_fit(curve: TransformCurve, max_modulus: float = 0.9,
-              min_points: int = 5, n_boot: int = 500, seed=0):
+def decay_fit(curve: TransformCurve, seed=0):
     """(a_hat, (lo, hi)): least-squares decay exponent of the curve tail.
 
     Fits -slope of log modulus against log radius on the largest contiguous
-    run of radii whose modulus stays below max_modulus; the confidence
-    interval is a residual bootstrap.  InsufficientDecay when fewer than
-    min_points radii qualify.
+    run of radii whose modulus stays below 0.9; the confidence interval is a
+    residual bootstrap.  InsufficientDecay when fewer than 5 radii qualify.
     """
-    ok = curve.modulus < max_modulus
+    ok = curve.modulus < _DECAY_MAX_MODULUS
     tail = ok.size if ok.all() else int(np.argmin(ok[::-1]))  # contiguous run
-    if tail < min_points:
-        raise InsufficientDecay(f"only {tail} radii below {max_modulus}")
+    if tail < _DECAY_MIN_POINTS:
+        raise InsufficientDecay(f"only {tail} radii below {_DECAY_MAX_MODULUS}")
     x = np.log(curve.radii[ok.size - tail:])
     y = np.log(curve.modulus[ok.size - tail:])
     design = np.vstack([x, np.ones_like(x)]).T
@@ -99,8 +103,8 @@ def decay_fit(curve: TransformCurve, max_modulus: float = 0.9,
     resid = y - design @ coef
     a_hat = -coef[0]
     rng = as_generator(seed)
-    boots = np.empty(n_boot)
-    for b in range(n_boot):
+    boots = np.empty(_DECAY_BOOTSTRAPS)
+    for b in range(_DECAY_BOOTSTRAPS):
         yb = design @ coef + rng.choice(resid, size=resid.size, replace=True)
         cb, *_ = np.linalg.lstsq(design, yb, rcond=None)
         boots[b] = -cb[0]
@@ -139,18 +143,15 @@ class KillCountStats:
         return float(self.delta_grid[ok.max()])
 
 
-_ZERO_TOL = 1e-12
-
-
 def kill_counts(spec: ModelSpec, t_grid, delta_grid, trials: int | None = None,
                 seed=0) -> KillCountStats:
     """Survival-count statistics; exact finite-atom law by default.
 
     The count of a branch at probe t and threshold delta is
     #{i : |A_i^T t| > delta |t|}.  At delta = 0 the comparison uses a
-    relative dust threshold so that probe directions carrying one-ulp
-    rounding noise still register exact kernel hits (matching the tree
-    counter's zero test).  Passing `trials` switches to Monte Carlo over
+    relative dust threshold, the tree counter's ZERO_TOL, so that probe
+    directions carrying one-ulp rounding noise still register exact kernel
+    hits.  Passing `trials` switches to Monte Carlo over
     branch draws (useful as a cross-check of the exact path).  Probes may
     carry negative entries; the counts are invariant under positive scaling
     of each probe.
@@ -166,7 +167,7 @@ def kill_counts(spec: ModelSpec, t_grid, delta_grid, trials: int | None = None,
 
     table = spec.branch_table
     vals = np.abs(np.matmul(t_grid[None], table.mats)).sum(axis=2)  # (M, P)
-    thresholds = (np.maximum(delta_grid, _ZERO_TOL)[None, :]
+    thresholds = (np.maximum(delta_grid, ZERO_TOL)[None, :]
                   * np.abs(t_grid).sum(axis=1)[:, None])            # (P, D)
     alive = (vals[:, :, None] > thresholds[None]).astype(np.int64)
     per_atom = np.add.reduceat(alive, table.offsets, axis=0)        # (B, P, D)
@@ -205,13 +206,12 @@ def harmonic_floor_table(pool, b: float, floors=HARMONIC_FLOORS) -> dict:
     return {float(f): float(np.mean(np.maximum(norms, f) ** (-b))) for f in floors}
 
 
-def harmonic_moment(pool, b: float, floor: float = 1e-8,
-                    stability_rtol: float = 0.05):
+def harmonic_moment(pool, b: float, floor: float = 1e-8):
     """(value, stable) floored harmonic moment of the pool norms.
 
     The empirical mean of |Z|^(-b) is always finite; divergence is
     operationalized as instability: the flag is True when successive floors
-    in a fixed ladder move the estimate by less than stability_rtol.
+    in a fixed ladder move the estimate by at most 5 % each.
     """
     if floor <= 0:
         raise ValueError("floor must be positive")
@@ -219,13 +219,13 @@ def harmonic_moment(pool, b: float, floor: float = 1e-8,
     value = table[float(floor)]
     ladder = [table[f] for f in HARMONIC_FLOORS]
     stable = all(
-        abs(ladder[i + 1] - ladder[i]) <= stability_rtol * ladder[i]
+        abs(ladder[i + 1] - ladder[i]) <= _STABILITY_RTOL * ladder[i]
         for i in range(len(ladder) - 1)
     )
     return value, stable
 
 
-def small_ball_exponent(pool, eps_grid, n_boot: int = 60, seed=0):
+def small_ball_exponent(pool, eps_grid, seed=0):
     """(slope, (lo, hi)): regression of log P[|Z| <= eps] on log eps.
 
     EmptyTail when no sample falls below the largest grid value.  The
@@ -253,7 +253,7 @@ def small_ball_exponent(pool, eps_grid, n_boot: int = 60, seed=0):
     slope = fit(counts[keep].astype(float))
     rng = as_generator(seed)
     boots = []
-    for _ in range(n_boot):
+    for _ in range(_SMALL_BALL_BOOTSTRAPS):
         resampled = rng.choice(norms, size=k, replace=True)
         resampled.sort()
         cb = np.searchsorted(resampled, eps_grid[keep], side="right")

@@ -16,6 +16,8 @@ from ._common import as_generator
 from .errors import NoConvergence, NotPrimitive, SingularDirection, ZeroColumn
 
 _CONTRACTION_STREAM = 0x9E3779B97F4A7C15  # fixed stream: estimates are pure in (g, pairs)
+_PF_TOL = 1e-12
+_PF_MAX_ITER = 100_000
 
 
 def check_nonneg_matrix(a) -> np.ndarray:
@@ -112,7 +114,7 @@ def _power_direction(a: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     raise NoConvergence(f"power iteration did not settle within {max_iter} iterations")
 
 
-def pf_decompose(a, tol: float = 1e-12, max_iter: int = 100_000) -> PFDecomposition:
+def pf_decompose(a) -> PFDecomposition:
     """Perron-Frobenius decomposition of a primitive nonnegative matrix.
 
     Deterministic: power iteration from the uniform direction for the right
@@ -124,18 +126,12 @@ def pf_decompose(a, tol: float = 1e-12, max_iter: int = 100_000) -> PFDecomposit
     a = check_nonneg_matrix(a)
     if not is_primitive(a):
         raise NotPrimitive("no power of the matrix is strictly positive")
-    v = _power_direction(a, tol, max_iter)
-    u = _power_direction(a.T, tol, max_iter)
+    v = _power_direction(a, _PF_TOL, _PF_MAX_ITER)
+    u = _power_direction(a.T, _PF_TOL, _PF_MAX_ITER)
     u = u / float(u @ v)
     r = float(u @ a @ v)
     q = a - r * np.outer(v, u)
     return PFDecomposition(radius=r, right=v, left=u, remainder=q)
-
-
-def _min_ratio(x: np.ndarray, y: np.ndarray) -> float:
-    """min over {i : y_i > 0} of x_i / y_i, for simplex points."""
-    mask = y > 0
-    return float(np.min(x[mask] / y[mask]))
 
 
 def hennion_distance(x, y) -> float:
@@ -146,11 +142,7 @@ def hennion_distance(x, y) -> float:
     for the Hilbert metric h.  It satisfies sup d = 1, |x - y| <= 2 d(x,y),
     and positive matrices contract it by tanh(diameter/4).
     """
-    x = as_direction(x)
-    y = as_direction(y)
-    p = _min_ratio(x, y) * _min_ratio(y, x)
-    p = np.sqrt(max(p, 0.0))
-    return float((1.0 - p) / (1.0 + p))
+    return float(_pairwise_hennion(as_direction(x)[None], as_direction(y)[None])[0])
 
 
 def _pairwise_hennion(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -36,6 +36,7 @@ _KINDS = (KIND_EXPLICIT, KIND_IID, KIND_SCALAR)
 
 _PROB_TOL = 1e-12
 _MATRIX_TOL = 1e-12
+_IID_TOL = 1e-9               # slack on the factorised branch probabilities
 
 
 @dataclass(frozen=True)
@@ -326,7 +327,7 @@ def check_furstenberg_kesten(spec: ModelSpec) -> tuple:
     return True, worst
 
 
-def check_iid_coefficients(spec: ModelSpec, tol: float = 1e-9) -> bool:
+def check_iid_coefficients(spec: ModelSpec) -> bool:
     """Whether, given N, the branch matrices are conditionally i.i.d.
 
     Exact finite-atom test: each positional marginal must match the
@@ -346,7 +347,7 @@ def check_iid_coefficients(spec: ModelSpec, tol: float = 1e-9) -> bool:
             found = [_find_matrix(mu, m) for m in br]
             if None in found:
                 return False
-            if abs(p / pn - float(np.prod([mu[i][0] for i in found]))) > tol:
+            if abs(p / pn - float(np.prod([mu[i][0] for i in found]))) > _IID_TOL:
                 return False
     return True
 

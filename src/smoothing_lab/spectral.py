@@ -24,7 +24,7 @@ from .errors import (
     RootNotBracketed,
     WitnessNotFound,
 )
-from .matrices import spectral_radius
+from .matrices import _power_direction, spectral_radius
 from .models import (
     BranchTable,
     ModelSpec,
@@ -36,6 +36,11 @@ from .models import (
 )
 
 _RENORM_EVERY = 32
+_ALPHA_S_MIN = 1e-3           # left end of the moment-root grid
+_ALPHA_SLOPE_STEP = 0.05      # half-width of the decreasing-slope check
+_EIGEN_TOL = 1e-12
+_EIGEN_MAX_ITER = 20_000
+_A_MAX = 10.0                 # largest order the critical exponent is sought at
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +131,7 @@ def lyapunov_estimate(spec: ModelSpec, n: int = 1000, trials: int = 10_000,
 
 
 def find_alpha(spec: ModelSpec, tol: float = 1e-3, *, n: int = 64,
-               trials: int = 40_000, seed=0, s_min: float = 1e-3,
-               slope_step: float = 0.05) -> float:
+               trials: int = 40_000, seed=0) -> float:
     """Root of m(s) = 1 on (0, 1] with a negative-slope requirement.
 
     s = 1 is tried first through the exact path (E[N] times the spectral
@@ -145,8 +149,8 @@ def find_alpha(spec: ModelSpec, tol: float = 1e-3, *, n: int = 64,
         return en * float(np.exp(_log_mean_exp(s * logs)[0] / n))
 
     def slope_ok(s: float) -> bool:
-        lo = max(s - slope_step, s_min / 2)
-        hi = s + slope_step
+        lo = max(s - _ALPHA_SLOPE_STEP, _ALPHA_S_MIN / 2)
+        hi = s + _ALPHA_SLOPE_STEP
         return m_hat(hi) - m_hat(lo) < 0.0
 
     m1_exact = en * kappa_one_exact(spec)
@@ -155,7 +159,7 @@ def find_alpha(spec: ModelSpec, tol: float = 1e-3, *, n: int = 64,
             raise WitnessNotFound("m(1) = 1 but the curve is not decreasing there")
         return 1.0
 
-    grid = np.linspace(s_min, 1.0, 21)
+    grid = np.linspace(_ALPHA_S_MIN, 1.0, 21)
     values = np.array([m_hat(s) for s in grid])
     below = np.flatnonzero(values <= 1.0)
     if below.size == 0:
@@ -269,49 +273,35 @@ def discretize_transfer(spec: ModelSpec, s: float,
     return TransferDiscretization(s=s, grid=grid, operator_matrix=op)
 
 
-def transfer_eigen(disc: TransferDiscretization, tol: float = 1e-12,
-                   max_iter: int = 20_000) -> TransferDiscretization:
+def transfer_eigen(disc: TransferDiscretization) -> TransferDiscretization:
     """Leading eigenvalue and eigen-elements by power iteration.
 
     Collatz bounds certify convergence: iteration stops when the min and max
     of (P f) / f agree to tolerance.  The adjoint iteration yields the
-    probability eigenmeasure.
+    probability eigenmeasure; NoConvergence when either iteration stalls.
     """
     op = disc.operator_matrix
-    g = op.shape[0]
-    f = np.ones(g)
-    lam = None
-    for _ in range(max_iter):
+    f = np.ones(op.shape[0])
+    for _ in range(_EIGEN_MAX_ITER):
         pf = op @ f
         ratios = pf / f
         lo, hi = float(ratios.min()), float(ratios.max())
         f = pf / pf.max()
-        if hi - lo <= tol * max(hi, 1e-300):
-            lam = 0.5 * (lo + hi)
+        if hi - lo <= _EIGEN_TOL * max(hi, 1e-300):
             break
-    if lam is None:
+    else:
         raise NoConvergence("transfer-operator power iteration stalled")
-    nu = np.full(g, 1.0 / g)
-    for _ in range(max_iter):
-        pn = op.T @ nu
-        lam_left = pn.sum()
-        pn /= lam_left
-        if np.abs(pn - nu).max() <= tol:
-            nu = pn
-            break
-        nu = pn
-    disc.eigenvalue = lam
-    disc.eigenfunction = f
-    disc.eigenmeasure = nu
+    nu = _power_direction(op.T, _EIGEN_TOL, _EIGEN_MAX_ITER)
+    lam = 0.5 * (lo + hi)
+    disc.eigenvalue, disc.eigenfunction, disc.eigenmeasure = lam, f, nu
     disc.residual = float(np.abs(op @ f - lam * f).max())
     return disc
 
 
-def kappa_tilde(spec: ModelSpec, s: float, grid_size: int = 512,
-                tol: float = 1e-12):
+def kappa_tilde(spec: ModelSpec, s: float, grid_size: int = 512):
     """(value, eigenfunction, eigenmeasure) of the conditioned transfer
     operator at order s."""
-    disc = transfer_eigen(discretize_transfer(spec, s, grid_size), tol=tol)
+    disc = transfer_eigen(discretize_transfer(spec, s, grid_size))
     return disc.eigenvalue, disc.eigenfunction, disc.eigenmeasure
 
 
@@ -322,7 +312,7 @@ def kappa_tilde_chain(spec: ModelSpec, s, n: int, trials: int, seed):
 
 
 def critical_exponent(spec: ModelSpec, tol: float = 1e-9,
-                      a_max: float = 10.0, grid_size: int = 512):
+                      grid_size: int = 512):
     """Positive root of kappa_tilde(-a) P[N = 1] = 1, or None.
 
     None signals P[N = 1] = 0, where no singleton-branch thinning exists and
@@ -343,8 +333,8 @@ def critical_exponent(spec: ModelSpec, tol: float = 1e-9,
     hi = 1.0
     while gap(hi) < 0.0:
         hi *= 2.0
-        if hi > a_max:
-            raise RootNotBracketed(f"no root below a_max = {a_max}")
+        if hi > _A_MAX:
+            raise RootNotBracketed(f"no root below a_max = {_A_MAX}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         g = gap(mid)

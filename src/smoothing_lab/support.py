@@ -206,7 +206,7 @@ def cone_hull(directions) -> ConeHull:
     elif r >= 3:
         from scipy.spatial import ConvexHull
 
-        hull = ConvexHull(y, qhull_options="QJ")
+        hull = ConvexHull(y)     # no joggle (QJ): it lists facet points as corners
         extremes = dirs[np.unique(hull.vertices)]
         normals, offsets = hull.equations[:, :-1], -hull.equations[:, -1]
     else:

@@ -69,6 +69,18 @@ def test_spectrum_ex3(tmp_path):
     assert len(lines) == 5
 
 
+def test_spectrum_dotted_prefix_keeps_its_name(tmp_path):
+    prefix = tmp_path / "run.s0.5"
+    assert main(["spectrum", "--model", "ex1", "--seed", "9",
+                 "--out-prefix", str(prefix), "--s-grid", "0.5,1.0",
+                 "--chain-n", "10", "--trials", "1000",
+                 "--lyap-n", "100", "--lyap-trials", "500"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "run.s0.5.csv", "run.s0.5.json", "run.s0.5.manifest.json"]
+    manifest = json.loads((tmp_path / "run.s0.5.manifest.json").read_text())
+    assert manifest["output_paths"] == [f"{prefix}.csv", f"{prefix}.json"]
+
+
 def test_spectrum_ex1_alpha_one(tmp_path):
     prefix = tmp_path / "spec1"
     rc = main(["spectrum", "--model", "ex1", "--seed", "6",

@@ -6,6 +6,7 @@ import smoothing_lab as sl
 from smoothing_lab._common import as_generator, spawn_generators
 from smoothing_lab.errors import (
     FurstenbergKestenViolated,
+    NoConvergence,
     NoSingletonBranch,
     WitnessNotFound,
 )
@@ -282,6 +283,16 @@ def test_transfer_adjoint_eigenvalue_agrees(ex3):
     disc = sl.transfer_eigen(sl.discretize_transfer(ex3, -0.5, grid_size=64))
     lam_left = (disc.operator_matrix.T @ disc.eigenmeasure).sum()
     assert lam_left == pytest.approx(disc.eigenvalue, rel=1e-8)
+
+
+def test_transfer_eigen_raises_when_adjoint_stalls():
+    # nearly diagonal atoms: the Collatz bounds meet, but after the iteration
+    # budget one more adjoint step still moves the eigenmeasure by ~1e-6
+    a = np.array([[1.0, 1e-5], [1e-5, 1.0]])
+    spec = sl.ModelSpec(dim=2, kind="ExplicitAtoms",
+                        atoms=((0.5, (a,)), (0.5, (a, a, a))))
+    with pytest.raises(NoConvergence):
+        sl.transfer_eigen(sl.discretize_transfer(spec, -0.5, grid_size=64))
 
 
 def test_critical_exponent_matches_bisection(ex3):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -326,6 +328,34 @@ def test_planar_hull_matches_qhull(seed):
                       + ref.equations[:, 2] <= 1e-9, axis=1)
     assert n_out and not expected[40:40 + n_out].any()
     assert membership_fractions(hull, points).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_polytope_edge_midpoints_are_not_extremes(seed):
+    # five corners in the 3-dim simplex of R^4 and the midpoints of every
+    # pair: midpoints lie inside or on an edge, so the corners stay the hull's
+    # only extremes
+    rng = np.random.default_rng(seed)
+    corners = rng.dirichlet(np.ones(4), size=5)
+    mids = [0.5 * (a + b) for a, b in itertools.combinations(corners, 2)]
+    hull = sl.cone_hull(np.vstack([corners, mids]))
+    assert hull.basis.shape[0] == 3
+    assert hull.extremes.tolist() == sl.cone_hull(corners).extremes.tolist()
+    assert set(map(tuple, hull.extremes)) <= set(map(tuple, corners))
+
+
+@pytest.mark.parametrize("thickness", [1e-9, 1e-8, 1e-7, 1e-6])
+def test_thin_polytope_hull(thickness):
+    # planar sets with every other point lifted off the plane by
+    # `thickness`: affine rank 3, but only just
+    rng = np.random.default_rng(int(-np.log10(thickness)))
+    for _ in range(20):
+        n = int(rng.integers(4, 30))
+        x = np.hstack([rng.dirichlet(np.ones(3), size=n),
+                       thickness * (np.arange(n) % 2)[:, None]])
+        hull = sl.cone_hull(x / x.sum(axis=1, keepdims=True))
+        assert hull.basis.shape[0] == 3
+        assert membership_fractions(hull, hull.directions).all()
 
 
 def test_collinear_hull_three_dimensional():
