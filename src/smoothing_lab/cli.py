@@ -2,15 +2,16 @@
 
 Subcommands: simulate, spectrum, support, diagnose, check.  Every sampling
 subcommand requires --seed; outputs are CSV (17 significant digits, so runs
-hash identically) plus JSON summaries, and each run but check's writes a
-manifest that reproduces it byte for byte.
+hash identically) plus JSON summaries.  File names append to the --out or
+--out-prefix path exactly as given, dots included, and each run but check's
+writes <--out or --out-prefix>.manifest.json, which records every parsed
+argument and so reproduces the run byte for byte.
 
 Exit codes: 0 success, 2 input error, 3 computation error, 4 budget error.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -38,9 +39,7 @@ from .errors import (
     EmptyTail,
     InsufficientDecay,
     NoConvergence,
-    RootNotBracketed,
     SmoothingLabError,
-    WitnessNotFound,
 )
 from .models import (
     EXAMPLE_NAMES,
@@ -64,10 +63,6 @@ from .support import (
 )
 
 
-class InputError(Exception):
-    pass
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -78,11 +73,11 @@ def _load_model_arg(arg: str) -> tuple:
     else:
         path = Path(arg)
         if not path.exists():
-            raise InputError(f"model file not found: {arg}")
+            raise ValueError(f"model file not found: {arg}")
     try:
         return load_model(path), str(path)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise InputError(f"invalid model file {path}: {exc}") from exc
+        raise ValueError(f"invalid model file {path}: {exc}") from exc
 
 
 def _write_json(path, payload) -> None:
@@ -99,24 +94,34 @@ def _write_csv(path, header, rows) -> None:
                               else str(x) for x in row) + "\n")
 
 
-@dataclasses.dataclass
-class RunManifest:
-    command: str
-    model_path: str
-    seed: int | None
-    parameters: dict
-    output_paths: list
-    tool_version: str = __version__
+def _appended(path, suffix: str) -> Path:
+    """`path` with `suffix` appended to its name as given, dots included."""
+    path = Path(path)
+    return path.with_name(path.name + suffix)
 
-    def write(self, path) -> None:
-        _write_json(path, dataclasses.asdict(self))
+
+def _write_manifest(args, model_path: str, outputs, **extra) -> None:
+    """<--out or --out-prefix>.manifest.json: every parsed argument, with the
+    command, model and seed under keys of their own, plus `extra`."""
+    given = vars(args)
+    parameters = {k: v for k, v in given.items()
+                  if k not in ("func", "command", "model", "seed")}
+    path = _appended(given.get("out") or given["out_prefix"], ".manifest.json")
+    _write_json(path, {
+        "command": args.command, "model_path": model_path,
+        "seed": given.get("seed"), "parameters": {**parameters, **extra},
+        "output_paths": [str(p) for p in outputs], "tool_version": __version__,
+    })
 
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(x) for x in text.split(",")], dtype=float)
+        vec = np.array([float(x) for x in text.split(",")], dtype=float)
     except ValueError as exc:
-        raise InputError(f"cannot parse vector {text!r}") from exc
+        raise ValueError(f"cannot parse vector {text!r}") from exc
+    if not np.isfinite(vec).all():
+        raise ValueError(f"vector {text!r} has a non-finite entry")
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -134,24 +139,14 @@ def cmd_simulate(args) -> int:
     elif args.init is not None:
         init = _parse_vector(args.init)
         if init.size != spec.dim:
-            raise InputError("--init dimension does not match the model")
+            raise ValueError("--init dimension does not match the model")
     pool, history = run_fixed_point(
         spec, k=args.k, rounds=args.rounds, init=init, seed=args.seed,
         initial_pool=initial_pool,
     )
-    out = Path(args.out)
-    pool_to_csv(pool, out)
-    manifest = RunManifest(
-        command="simulate", model_path=model_path, seed=args.seed,
-        parameters={
-            "k": args.k, "rounds": args.rounds,
-            "init": None if init is None else init.tolist(),
-            "init_tail_index": args.init_tail_index,
-            "mean_norm_history": [float(h) for h in history],
-        },
-        output_paths=[str(out)],
-    )
-    manifest.write(out.with_suffix(out.suffix + ".manifest.json"))
+    pool_to_csv(pool, args.out)
+    _write_manifest(args, model_path, [args.out],
+                    mean_norm_history=[float(h) for h in history])
     return 0
 
 
@@ -163,13 +158,12 @@ def cmd_spectrum(args) -> int:
     profile = spectral_profile(
         spec, s_grid, chain_n=args.chain_n, chain_trials=args.trials,
         lyap_n=args.lyap_n, lyap_trials=args.lyap_trials,
-        grid_size=args.grid_size, alpha_tol=args.alpha_tol, seed=args.seed,
+        grid_size=args.grid_size, seed=args.seed,
     )
     if args.require_alpha and profile.alpha is None:
         raise NoConvergence("no moment-root found and --require-alpha is set")
-    prefix = Path(args.out_prefix)
-    csv_path = prefix.with_name(prefix.name + ".csv")
-    json_path = prefix.with_name(prefix.name + ".json")
+    csv_path = _appended(args.out_prefix, ".csv")
+    json_path = _appended(args.out_prefix, ".json")
     rows = []
     for i, s in enumerate(profile.s_grid):
         kt = profile.kappa_tilde.get(float(s), "")
@@ -182,15 +176,7 @@ def cmd_spectrum(args) -> int:
         "alpha": profile.alpha,
         "a0": profile.a0,
     })
-    RunManifest(
-        command="spectrum", model_path=model_path, seed=args.seed,
-        parameters={
-            "s_grid": profile.s_grid.tolist(), "chain_n": args.chain_n,
-            "trials": args.trials, "lyap_n": args.lyap_n,
-            "lyap_trials": args.lyap_trials, "grid_size": args.grid_size,
-        },
-        output_paths=[str(csv_path), str(json_path)],
-    ).write(prefix.with_name(prefix.name + ".manifest.json"))
+    _write_manifest(args, model_path, [csv_path, json_path])
     return 0
 
 
@@ -212,7 +198,7 @@ def cmd_support(args) -> int:
         payload["hull_extremes"] = hull.extremes.tolist()
     if args.pool:
         if hull is None:
-            raise InputError("no strictly positive semigroup element at this "
+            raise ValueError("no strictly positive semigroup element at this "
                              "depth, so there is no cone to test")
         pool = pool_from_csv(args.pool)
         frac, gaps = empirical_support_check(pool, hull, tol=args.tol)
@@ -227,12 +213,7 @@ def cmd_support(args) -> int:
             "certificate": witness.describe(),
         }
     _write_json(args.out, payload)
-    RunManifest(
-        command="support", model_path=model_path, seed=None,
-        parameters={"length": args.length, "depth_budget": args.depth_budget,
-                    "pool": args.pool, "tol": args.tol},
-        output_paths=[args.out],
-    ).write(Path(args.out).with_suffix(".manifest.json"))
+    _write_manifest(args, model_path, [args.out])
     return 0
 
 
@@ -240,22 +221,21 @@ def cmd_diagnose(args) -> int:
     spec, model_path = _load_model_arg(args.model)
     pool = pool_from_csv(args.pool)
     if pool.dim != spec.dim:
-        raise InputError("pool dimension does not match the model")
-    prefix = Path(args.out_prefix)
+        raise ValueError("pool dimension does not match the model")
 
     curve = transform_curve(pool, max_exp=args.max_exp, n_probes=args.probes)
     try:
         a_hat, ci = decay_fit(curve, seed=args.seed)
     except InsufficientDecay:
         a_hat, ci = None, (None, None)
-    curve_path = prefix.with_name(prefix.name + "_ecf.csv")
+    curve_path = _appended(args.out_prefix, "_ecf.csv")
     _write_csv(curve_path, ["radius", "sup_modulus", "stderr"],
                [[r, m, curve.stderr] for r, m in zip(curve.radii, curve.modulus)])
 
     probes = sphere_grid(spec.dim, args.probes or 128)
     deltas = np.array([0.0, 1e-4, 1e-3, 1e-2, 0.1])
     stats = kill_counts(spec, probes, deltas)
-    kc_path = prefix.with_name(prefix.name + "_killcounts.csv")
+    kc_path = _appended(args.out_prefix, "_killcounts.csv")
     rows = []
     for i in range(probes.shape[0]):
         for j, dlt in enumerate(deltas):
@@ -290,15 +270,9 @@ def cmd_diagnose(args) -> int:
             "floors": harmonic_floor_table(pool, b),
         }
     summary["harmonic_table"] = table
-    json_path = prefix.with_name(prefix.name + "_summary.json")
+    json_path = _appended(args.out_prefix, "_summary.json")
     _write_json(json_path, summary)
-    RunManifest(
-        command="diagnose", model_path=model_path, seed=args.seed,
-        parameters={"pool": args.pool, "probes": args.probes,
-                    "max_exp": args.max_exp,
-                    "harmonic_b": list(args.harmonic_b)},
-        output_paths=[str(curve_path), str(kc_path), str(json_path)],
-    ).write(prefix.with_name(prefix.name + ".manifest.json"))
+    _write_manifest(args, model_path, [curve_path, kc_path, json_path])
     return 0
 
 
@@ -389,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lyap-n", type=int, default=1000)
     p.add_argument("--lyap-trials", type=int, default=10_000)
     p.add_argument("--grid-size", type=int, default=512)
-    p.add_argument("--alpha-tol", type=float, default=1e-3)
     p.add_argument("--require-alpha", action="store_true")
     p.set_defaults(func=cmd_spectrum)
 
@@ -428,7 +401,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         # the package rejects bad arguments and malformed files with
         # ValueError; a path that cannot be read or written raises OSError
         print(f"error: {exc}", file=sys.stderr)
@@ -436,8 +409,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 4
-    except (NoConvergence, RootNotBracketed, WitnessNotFound,
-            SmoothingLabError) as exc:
+    except SmoothingLabError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 3
 

@@ -200,8 +200,8 @@ HARMONIC_FLOORS = (1e-6, 1e-8, 1e-10)
 
 def harmonic_floor_table(pool, b: float, floors=HARMONIC_FLOORS) -> dict:
     """Floored harmonic-moment estimates E[max(|Z|, floor)^(-b)] per floor."""
-    if b <= 0:
-        raise ValueError("the order b must be positive")
+    if not (np.isfinite(b) and b > 0):
+        raise ValueError(f"the order b must be finite and positive, got {b}")
     norms = pool.norms()
     return {float(f): float(np.mean(np.maximum(norms, f) ** (-b))) for f in floors}
 

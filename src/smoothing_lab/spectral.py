@@ -14,6 +14,7 @@ the Freudenthal (Kuhn) triangulation of the lattice grid, in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -199,8 +200,14 @@ class TransferDiscretization:
     operator_matrix: np.ndarray      # (G, G), entrywise nonnegative
     eigenvalue: float | None = None
     eigenfunction: np.ndarray | None = None
-    eigenmeasure: np.ndarray | None = None
     residual: float | None = None    # max |P r - lambda r| after solving
+
+    @cached_property
+    def eigenmeasure(self) -> np.ndarray:
+        """Probability eigenmeasure by the adjoint power iteration, solved
+        on first read; NoConvergence when the iteration stalls."""
+        return _power_direction(self.operator_matrix.T, _EIGEN_TOL,
+                                _EIGEN_MAX_ITER)
 
 
 def _simplex_lattice(d: int, grid_size: int):
@@ -255,6 +262,8 @@ def discretize_transfer(spec: ModelSpec, s: float,
     atom must map the whole simplex away from zero (guaranteed by a strictly
     positive entry ratio bound, and exactly equivalent to iota(atom) > 0).
     """
+    if grid_size < 2:
+        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     atoms = conditioned_a1_atoms(spec)
     grid, m, table = _simplex_lattice(spec.dim, grid_size)
     g = grid.shape[0]
@@ -274,11 +283,11 @@ def discretize_transfer(spec: ModelSpec, s: float,
 
 
 def transfer_eigen(disc: TransferDiscretization) -> TransferDiscretization:
-    """Leading eigenvalue and eigen-elements by power iteration.
+    """Leading eigenvalue and eigenfunction by power iteration.
 
     Collatz bounds certify convergence: iteration stops when the min and max
-    of (P f) / f agree to tolerance.  The adjoint iteration yields the
-    probability eigenmeasure; NoConvergence when either iteration stalls.
+    of (P f) / f agree to tolerance; NoConvergence when the iteration stalls.
+    The eigenmeasure is solved only when it is read.
     """
     op = disc.operator_matrix
     f = np.ones(op.shape[0])
@@ -291,18 +300,15 @@ def transfer_eigen(disc: TransferDiscretization) -> TransferDiscretization:
             break
     else:
         raise NoConvergence("transfer-operator power iteration stalled")
-    nu = _power_direction(op.T, _EIGEN_TOL, _EIGEN_MAX_ITER)
     lam = 0.5 * (lo + hi)
-    disc.eigenvalue, disc.eigenfunction, disc.eigenmeasure = lam, f, nu
+    disc.eigenvalue, disc.eigenfunction = lam, f
     disc.residual = float(np.abs(op @ f - lam * f).max())
     return disc
 
 
-def kappa_tilde(spec: ModelSpec, s: float, grid_size: int = 512):
-    """(value, eigenfunction, eigenmeasure) of the conditioned transfer
-    operator at order s."""
-    disc = transfer_eigen(discretize_transfer(spec, s, grid_size))
-    return disc.eigenvalue, disc.eigenfunction, disc.eigenmeasure
+def kappa_tilde(spec: ModelSpec, s: float, grid_size: int = 512) -> float:
+    """Leading eigenvalue of the conditioned transfer operator at order s."""
+    return transfer_eigen(discretize_transfer(spec, s, grid_size)).eigenvalue
 
 
 def kappa_tilde_chain(spec: ModelSpec, s, n: int, trials: int, seed):
@@ -324,8 +330,7 @@ def critical_exponent(spec: ModelSpec, tol: float = 1e-9,
         return None
 
     def gap(a: float) -> float:
-        value, _, _ = kappa_tilde(spec, -a, grid_size=grid_size)
-        return value * p1 - 1.0
+        return kappa_tilde(spec, -a, grid_size=grid_size) * p1 - 1.0
 
     lo = 1e-3
     if gap(lo) >= 0.0:
@@ -373,7 +378,7 @@ class SpectralProfile:
 def spectral_profile(spec: ModelSpec, s_grid=None, *, chain_n: int = 64,
                      chain_trials: int = 20_000, lyap_n: int = 1000,
                      lyap_trials: int = 10_000, grid_size: int = 512,
-                     alpha_tol: float = 1e-3, seed=0) -> SpectralProfile:
+                     seed=0) -> SpectralProfile:
     if s_grid is None:
         s_grid = np.arange(-1.5, 2.01, 0.25)
     s_grid = np.asarray(s_grid, dtype=float)
@@ -386,15 +391,14 @@ def spectral_profile(spec: ModelSpec, s_grid=None, *, chain_n: int = 64,
     en = expected_n(spec)
     gamma, gse = lyapunov_estimate(spec, lyap_n, lyap_trials, streams[-2])
     try:
-        alpha = find_alpha(spec, tol=alpha_tol, seed=streams[-1])
+        alpha = find_alpha(spec, seed=streams[-1])
     except WitnessNotFound:
         alpha = None
     kt: dict = {}
     a0 = None
     if prob_n_equals(spec, 1) > 0:
         for s in s_grid[s_grid <= 0]:
-            value, _, _ = kappa_tilde(spec, float(s), grid_size=grid_size)
-            kt[float(s)] = value
+            kt[float(s)] = kappa_tilde(spec, float(s), grid_size=grid_size)
         a0 = critical_exponent(spec, grid_size=grid_size)
     return SpectralProfile(
         s_grid=s_grid, kappa=kap, kappa_stderr=kse,

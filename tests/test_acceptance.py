@@ -67,7 +67,7 @@ def test_a02_transfer_growth_rate_closed_form(ex3):
     start = time.perf_counter()
     worst = 0.0
     for s in (-1.5, -1.0, -0.5, 0.0, 1.0):
-        value, _, _ = sl.kappa_tilde(ex3, s, grid_size=512)
+        value = sl.kappa_tilde(ex3, s, grid_size=512)
         worst = max(worst, abs(value - closed_form_growth_rate(s)))
         assert abs(value - closed_form_growth_rate(s)) <= 1e-3
     elapsed = time.perf_counter() - start

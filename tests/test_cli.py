@@ -81,6 +81,23 @@ def test_spectrum_dotted_prefix_keeps_its_name(tmp_path):
     assert manifest["output_paths"] == [f"{prefix}.csv", f"{prefix}.json"]
 
 
+def test_spectrum_does_not_solve_the_adjoint(tmp_path):
+    # nearly diagonal atoms: the eigenvalue converges, the adjoint iteration
+    # for the eigenmeasure (which spectrum never reads) would stall
+    a = np.array([[0.5, 5e-6], [5e-6, 0.5]])
+    spec = sl.ModelSpec(dim=2, kind="ExplicitAtoms",
+                        atoms=((0.5, (a,)), (0.5, (a, a, a))))
+    path = tmp_path / "diag.json"
+    sl.save_model(spec, path)
+    prefix = tmp_path / "diag"
+    assert main(["spectrum", "--model", str(path), "--seed", "1",
+                 "--out-prefix", str(prefix), "--s-grid=-0.5,0.5",
+                 "--grid-size", "64", "--chain-n", "10", "--trials", "500",
+                 "--lyap-n", "50", "--lyap-trials", "200"]) == 0
+    summary = json.loads((tmp_path / "diag.json").read_text())
+    assert summary["a0"] == pytest.approx(1.0000144277997314, abs=1e-6)
+
+
 def test_spectrum_ex1_alpha_one(tmp_path):
     prefix = tmp_path / "spec1"
     rc = main(["spectrum", "--model", "ex1", "--seed", "6",
@@ -251,13 +268,24 @@ POOL_FILES = {"bad.csv": "x0,x1\n1,2,3\n", "neg.csv": "x0,x1\n1,-2\n",
      "non-finite"),
     (["diagnose", "--model", "ex1", "--pool", "good.csv", "--seed", "1",
       "--out-prefix", "d", "--max-exp", "-1"], "max_exp"),
+    (["simulate", "--model", "ex1", "--k", "10", "--rounds", "1", "--seed",
+      "1", "--out", "p.csv", "--init", "nan,1"], "non-finite"),
+    (["spectrum", "--model", "ex1", "--seed", "1", "--out-prefix", "s",
+      "--s-grid", "nan,0.5", "--chain-n", "8", "--trials", "100"],
+     "non-finite"),
+    (["diagnose", "--model", "ex1", "--pool", "good.csv", "--seed", "1",
+      "--out-prefix", "d", "--harmonic-b", "nan"], "finite and positive"),
+    (["spectrum", "--model", "ex3", "--seed", "1", "--out-prefix", "s",
+      "--chain-n", "8", "--trials", "100", "--lyap-n", "10",
+      "--lyap-trials", "100", "--grid-size", "1"], "grid_size"),
 ], ids=["diagnose-missing", "diagnose-malformed", "diagnose-negative",
         "support-missing", "support-malformed", "support-negative",
         "simulate-k0", "simulate-tail-index", "spectrum-chain-n",
         "support-length", "support-tol-nan", "support-tol-negative",
         "spectrum-trials", "spectrum-lyap-trials", "diagnose-probes",
         "diagnose-nan", "diagnose-inf", "support-nan", "support-inf",
-        "diagnose-max-exp"])
+        "diagnose-max-exp", "simulate-init-nan", "spectrum-s-grid-nan",
+        "diagnose-harmonic-b-nan", "spectrum-grid-size-1"])
 def test_bad_input_exit_code(tmp_path, monkeypatch, capsys, argv, says):
     monkeypatch.chdir(tmp_path)
     for name, text in POOL_FILES.items():
@@ -282,6 +310,47 @@ def test_require_alpha_exit_code(tmp_path):
                "--chain-n", "10", "--trials", "500", "--lyap-n", "50",
                "--lyap-trials", "200", "--require-alpha"])
     assert rc == 3
+
+
+def test_support_dotted_outputs_keep_their_manifests(tmp_path):
+    for out in ("run.s0.5", "run.s0.7"):
+        assert main(["support", "--model", "ex1", "--length", "2",
+                     "--out", str(tmp_path / out)]) == 0
+    for out in ("run.s0.5", "run.s0.7"):
+        manifest = json.loads(
+            (tmp_path / f"{out}.manifest.json").read_text())
+        assert manifest["output_paths"] == [str(tmp_path / out)]
+
+
+MANIFEST_RUNS = {
+    "simulate": ("pool.csv", ["--k", "200", "--rounds", "2", "--seed", "1",
+                              "--out", "pool.csv"]),
+    "spectrum": ("spec", ["--seed", "1", "--out-prefix", "spec",
+                          "--s-grid", "0.5", "--chain-n", "8",
+                          "--trials", "100", "--lyap-n", "10",
+                          "--lyap-trials", "100"]),
+    "support": ("sup.json", ["--length", "2", "--out", "sup.json"]),
+    "diagnose": ("diag", ["--pool", "pool.csv", "--seed", "2",
+                          "--out-prefix", "diag", "--probes", "8",
+                          "--max-exp", "4"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_RUNS))
+def test_manifest_records_every_argument(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    for name in dict.fromkeys(["simulate", command]):
+        assert main([name, "--model", "ex1", *MANIFEST_RUNS[name][1]]) == 0
+    base = MANIFEST_RUNS[command][0]
+    manifest = json.loads((tmp_path / f"{base}.manifest.json").read_text())
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if a.dest == "command").choices
+    names = {a.dest for a in subparsers[command]._actions} - {
+        "help", "model", "seed"}
+    if command == "simulate":
+        names.add("mean_norm_history")
+    assert set(manifest["parameters"]) == names
+    assert manifest["command"] == command
 
 
 def test_every_subcommand_runs_on_every_example(tmp_path):

@@ -228,6 +228,16 @@ def test_transfer_exact_on_affine_functions_3d(s, grid_size):
     assert disc.operator_matrix @ (grid @ c) == pytest.approx(exact, abs=1e-12)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("grid_size", [-1, 0, 1])
+def test_transfer_rejects_grid_size_below_two(ex3, dim, grid_size):
+    # a 3-dim model used to get a 10-point grid for any grid_size below 2
+    spec = ex3 if dim == 2 else sl.ModelSpec(
+        dim=3, kind="ExplicitAtoms", atoms=((0.5, (B0,)), (0.5, (B1, B2))))
+    with pytest.raises(ValueError, match="grid_size"):
+        sl.discretize_transfer(spec, -1.0, grid_size=grid_size)
+
+
 def test_transfer_requires_singleton_branch(ex1):
     with pytest.raises(NoSingletonBranch):
         sl.discretize_transfer(ex1, -1.0, grid_size=16)
@@ -249,22 +259,25 @@ def closed_form_ex3(s: float) -> float:
 
 def test_kappa_tilde_matches_closed_form(ex3):
     for s in (-1.5, -1.0, -0.5, 0.0, 1.0):
-        value, func, measure = sl.kappa_tilde(ex3, s, grid_size=128)
+        value = sl.kappa_tilde(ex3, s, grid_size=128)
         assert value == pytest.approx(closed_form_ex3(s), abs=1e-9)
+        disc = sl.transfer_eigen(sl.discretize_transfer(ex3, s, grid_size=128))
+        assert disc.eigenvalue == value
+        measure, func = disc.eigenmeasure, disc.eigenfunction
         assert measure.min() >= 0 and measure.sum() == pytest.approx(1.0, abs=1e-9)
         # the kernel is constant over directions, so the eigenfunction is flat
         assert func.max() - func.min() < 1e-9
 
 
 def test_kappa_tilde_monotone(ex3):
-    values = [sl.kappa_tilde(ex3, s, grid_size=64)[0]
+    values = [sl.kappa_tilde(ex3, s, grid_size=64)
               for s in (-2.0, -1.5, -1.0, -0.5, 0.0)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_kappa_tilde_operator_vs_chain(ex3):
     for i, s in enumerate((-1.5, -1.0, -0.5)):
-        op_value, _, _ = sl.kappa_tilde(ex3, s, grid_size=128)
+        op_value = sl.kappa_tilde(ex3, s, grid_size=128)
         chain, se = sl.kappa_tilde_chain(ex3, s, n=40, trials=40_000, seed=50 + i)
         assert abs(op_value - chain) <= 3 * se + 1e-6
 
@@ -287,12 +300,14 @@ def test_transfer_adjoint_eigenvalue_agrees(ex3):
 
 def test_transfer_eigen_raises_when_adjoint_stalls():
     # nearly diagonal atoms: the Collatz bounds meet, but after the iteration
-    # budget one more adjoint step still moves the eigenmeasure by ~1e-6
+    # budget one more adjoint step still moves the eigenmeasure by ~1e-6; the
+    # adjoint runs when the eigenmeasure is read
     a = np.array([[1.0, 1e-5], [1e-5, 1.0]])
     spec = sl.ModelSpec(dim=2, kind="ExplicitAtoms",
                         atoms=((0.5, (a,)), (0.5, (a, a, a))))
+    disc = sl.transfer_eigen(sl.discretize_transfer(spec, -0.5, grid_size=64))
     with pytest.raises(NoConvergence):
-        sl.transfer_eigen(sl.discretize_transfer(spec, -0.5, grid_size=64))
+        disc.eigenmeasure
 
 
 def test_critical_exponent_matches_bisection(ex3):
