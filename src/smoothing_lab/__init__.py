@@ -18,10 +18,8 @@ from .diagnostics import (
     KillCountStats,
     TransformCurve,
     decay_fit,
-    ecf_estimate,
     harmonic_moment,
     kill_counts,
-    laplace_estimate,
     small_ball_exponent,
     sphere_grid,
     transform_curve,
@@ -32,16 +30,12 @@ from .matrices import (
     birkhoff_bound,
     contraction_coefficient,
     hennion_distance,
-    iota,
     is_primitive,
-    operator_norm,
     pf_decompose,
     project_direction,
-    size_n,
     spectral_radius,
 )
 from .models import (
-    BranchSample,
     ModelSpec,
     check_furstenberg_kesten,
     check_iid_coefficients,
@@ -56,8 +50,6 @@ from .models import (
     mu_mean,
     mu_support,
     prob_n_equals,
-    sample_branch,
-    save_model,
 )
 from .spectral import (
     SpectralProfile,
@@ -68,7 +60,6 @@ from .spectral import (
     kappa_estimate,
     kappa_one_exact,
     kappa_tilde,
-    kappa_tilde_chain,
     lyapunov_estimate,
     spectral_profile,
     transfer_eigen,
@@ -86,6 +77,5 @@ from .support import (
     find_l1_l2,
     lambda_set,
     lambda_stability,
-    membership,
     search_radius_witnesses,
 )

@@ -22,7 +22,7 @@ from ._common import (
     resolve_budget,
     spawn_generators,
 )
-from .errors import SupercriticalBlowup
+from .errors import OutOfRange, SupercriticalBlowup
 from .matrices import pf_decompose, spectral_radius
 from .models import BranchTable, ModelSpec, expected_n, mean_sum_matrix, mu_mean
 
@@ -110,6 +110,7 @@ def run_fixed_point(spec: ModelSpec, k: int, rounds: int, init=None, seed=0,
 
     Returns (pool, mean_norm_history); the history has rounds + 1 entries and
     starts with the initial pool.  An explicit initial_pool overrides init.
+    OutOfRange as soon as a mean norm in the history is not finite.
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
@@ -121,12 +122,22 @@ def run_fixed_point(spec: ModelSpec, k: int, rounds: int, init=None, seed=0,
         if init is None:
             init = pf_decompose(mean_sum_matrix(spec)).right
         pool = constant_pool(init, k)
-    history = [float(pool.norms().mean())]
+    history = [_mean_norm(pool)]
     streams = spawn_generators(seed, rounds)
     for rng in streams:
         pool = iterate_pool(spec, pool, rng)
-        history.append(float(pool.norms().mean()))
+        history.append(_mean_norm(pool))
     return pool, np.array(history)
+
+
+def _mean_norm(pool: SamplePool) -> float:
+    """Mean sample norm; OutOfRange when it overflows to a non-finite value."""
+    with np.errstate(over="ignore"):
+        mean = float(pool.norms().mean())
+    if not np.isfinite(mean):
+        raise OutOfRange(f"the mean pool norm is {mean} in round "
+                         f"{pool.generation}")
+    return mean
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +193,7 @@ def _fold(table: BranchTable, ids: np.ndarray, starts: np.ndarray,
 
 
 def martingale_samples(spec: ModelSpec, depth: int, trials: int, seed,
-                       node_budget: int | None = None,
-                       check_critical: bool = True) -> np.ndarray:
+                       node_budget: int | None = None) -> np.ndarray:
     """trials independent draws of sum over depth-n nodes of G_u v.
 
     v is the unit-L1 Perron eigenvector of the mean sum matrix; the sum is
@@ -196,12 +206,11 @@ def martingale_samples(spec: ModelSpec, depth: int, trials: int, seed,
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if check_critical:
-        m1 = expected_n(spec) * spectral_radius(mu_mean(spec))
-        if abs(m1 - 1.0) > 1e-9:
-            raise ValueError(
-                f"tree martingale needs a critical mean (E[N] kappa(1) = {m1!r})"
-            )
+    m1 = expected_n(spec) * spectral_radius(mu_mean(spec))
+    if abs(m1 - 1.0) > 1e-9:
+        raise ValueError(
+            f"tree martingale needs a critical mean (E[N] kappa(1) = {m1!r})"
+        )
     budget = resolve_budget(node_budget, DEFAULT_NODE_BUDGET)
     v = pf_decompose(mean_sum_matrix(spec)).right
     if depth == 0:

@@ -81,9 +81,10 @@ def _load_model_arg(arg: str) -> tuple:
 
 
 def _write_json(path, payload) -> None:
+    """Strict JSON: a non-finite value raises before the file is opened."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path, header, rows) -> None:
@@ -223,25 +224,23 @@ def cmd_diagnose(args) -> int:
     if pool.dim != spec.dim:
         raise ValueError("pool dimension does not match the model")
 
+    # every output is computed before the first file is written, so a
+    # rejected argument or an overflowing estimate leaves no partial run
     curve = transform_curve(pool, max_exp=args.max_exp, n_probes=args.probes)
     try:
         a_hat, ci = decay_fit(curve, seed=args.seed)
     except InsufficientDecay:
         a_hat, ci = None, (None, None)
-    curve_path = _appended(args.out_prefix, "_ecf.csv")
-    _write_csv(curve_path, ["radius", "sup_modulus", "stderr"],
-               [[r, m, curve.stderr] for r, m in zip(curve.radii, curve.modulus)])
+    curve_rows = [[r, m, curve.stderr]
+                  for r, m in zip(curve.radii, curve.modulus)]
 
     probes = sphere_grid(spec.dim, args.probes or 128)
     deltas = np.array([0.0, 1e-4, 1e-3, 1e-2, 0.1])
     stats = kill_counts(spec, probes, deltas)
-    kc_path = _appended(args.out_prefix, "_killcounts.csv")
-    rows = []
+    kc_rows = []
     for i in range(probes.shape[0]):
         for j, dlt in enumerate(deltas):
-            rows.append(list(probes[i]) + [dlt, stats.means[i, j]])
-    _write_csv(kc_path, [f"t{k}" for k in range(spec.dim)] + ["delta", "mean"],
-               rows)
+            kc_rows.append(list(probes[i]) + [dlt, stats.means[i, j]])
 
     norms = pool.norms()
     pos = norms[norms > 0]
@@ -270,6 +269,12 @@ def cmd_diagnose(args) -> int:
             "floors": harmonic_floor_table(pool, b),
         }
     summary["harmonic_table"] = table
+
+    curve_path = _appended(args.out_prefix, "_ecf.csv")
+    _write_csv(curve_path, ["radius", "sup_modulus", "stderr"], curve_rows)
+    kc_path = _appended(args.out_prefix, "_killcounts.csv")
+    _write_csv(kc_path, [f"t{k}" for k in range(spec.dim)] + ["delta", "mean"],
+               kc_rows)
     json_path = _appended(args.out_prefix, "_summary.json")
     _write_json(json_path, summary)
     _write_manifest(args, model_path, [curve_path, kc_path, json_path])

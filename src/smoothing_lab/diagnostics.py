@@ -12,7 +12,7 @@ import numpy as np
 
 from ._common import as_generator
 from .cascade import ZERO_TOL
-from .errors import EmptyTail, InsufficientDecay
+from .errors import EmptyTail, InsufficientDecay, OutOfRange
 from .models import ModelSpec
 
 _PROBE_STREAM = 0xD1A6005E
@@ -36,22 +36,6 @@ def sphere_grid(dim: int, n: int) -> np.ndarray:
         rng = as_generator(_PROBE_STREAM)
         t = rng.normal(size=(n, dim))
     return t / np.abs(t).sum(axis=1, keepdims=True)
-
-
-def ecf_estimate(pool, t):
-    """(empirical characteristic function at t, stderr bound K^(-1/2))."""
-    t = np.asarray(t, dtype=float)
-    phases = pool.samples @ t
-    value = complex(np.exp(1j * phases).mean())
-    return value, 1.0 / np.sqrt(pool.size)
-
-
-def laplace_estimate(pool, t) -> float:
-    """Empirical Laplace transform at t >= 0."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("the Laplace probe must be nonnegative")
-    return float(np.exp(-(pool.samples @ t)).mean())
 
 
 @dataclass
@@ -135,26 +119,16 @@ class KillCountStats:
     def min_mean_per_delta(self) -> np.ndarray:
         return self.means.min(axis=0)
 
-    def largest_stable_delta(self, margin: float) -> float | None:
-        mins = self.min_mean_per_delta()
-        ok = np.flatnonzero(mins > 1.0 + margin)
-        if ok.size == 0:
-            return None
-        return float(self.delta_grid[ok.max()])
 
-
-def kill_counts(spec: ModelSpec, t_grid, delta_grid, trials: int | None = None,
-                seed=0) -> KillCountStats:
-    """Survival-count statistics; exact finite-atom law by default.
+def kill_counts(spec: ModelSpec, t_grid, delta_grid) -> KillCountStats:
+    """Exact finite-atom laws of the survival counts.
 
     The count of a branch at probe t and threshold delta is
     #{i : |A_i^T t| > delta |t|}.  At delta = 0 the comparison uses a
     relative dust threshold, the tree counter's ZERO_TOL, so that probe
     directions carrying one-ulp rounding noise still register exact kernel
-    hits.  Passing `trials` switches to Monte Carlo over
-    branch draws (useful as a cross-check of the exact path).  Probes may
-    carry negative entries; the counts are invariant under positive scaling
-    of each probe.
+    hits.  Probes may carry negative entries; the counts are invariant under
+    positive scaling of each probe.
     """
     t_grid = np.atleast_2d(np.asarray(t_grid, dtype=float))
     delta_grid = np.asarray(delta_grid, dtype=float)
@@ -171,12 +145,7 @@ def kill_counts(spec: ModelSpec, t_grid, delta_grid, trials: int | None = None,
                   * np.abs(t_grid).sum(axis=1)[:, None])            # (P, D)
     alive = (vals[:, :, None] > thresholds[None]).astype(np.int64)
     per_atom = np.add.reduceat(alive, table.offsets, axis=0)        # (B, P, D)
-    if trials is None:
-        weights = table.probs.tolist()
-    else:
-        rng = as_generator(seed)
-        per_atom = per_atom[table.draw(rng, trials)]
-        weights = [1.0 / trials] * trials
+    weights = table.probs.tolist()
 
     counts: list = []
     means = np.zeros((t_grid.shape[0], delta_grid.size))
@@ -196,27 +165,32 @@ def kill_counts(spec: ModelSpec, t_grid, delta_grid, trials: int | None = None,
 # ---------------------------------------------------------------------------
 
 HARMONIC_FLOORS = (1e-6, 1e-8, 1e-10)
+_HARMONIC_FLOOR = 1e-8        # the floor of the reported estimate
 
 
-def harmonic_floor_table(pool, b: float, floors=HARMONIC_FLOORS) -> dict:
-    """Floored harmonic-moment estimates E[max(|Z|, floor)^(-b)] per floor."""
+def harmonic_floor_table(pool, b: float) -> dict:
+    """Floored harmonic-moment estimates E[max(|Z|, floor)^(-b)] per floor
+    of HARMONIC_FLOORS; OutOfRange when one overflows."""
     if not (np.isfinite(b) and b > 0):
         raise ValueError(f"the order b must be finite and positive, got {b}")
     norms = pool.norms()
-    return {float(f): float(np.mean(np.maximum(norms, f) ** (-b))) for f in floors}
+    with np.errstate(over="ignore"):
+        table = {f: float(np.mean(np.maximum(norms, f) ** (-b)))
+                 for f in HARMONIC_FLOORS}
+    if not np.isfinite(list(table.values())).all():
+        raise OutOfRange(f"the harmonic moment of order {b} overflows")
+    return table
 
 
-def harmonic_moment(pool, b: float, floor: float = 1e-8):
-    """(value, stable) floored harmonic moment of the pool norms.
+def harmonic_moment(pool, b: float):
+    """(value, stable) floored harmonic moment of the pool norms at floor 1e-8.
 
-    The empirical mean of |Z|^(-b) is always finite; divergence is
-    operationalized as instability: the flag is True when successive floors
+    The floored empirical mean is finite unless it overflows (OutOfRange);
+    divergence is operationalized as instability: the flag is True when successive floors
     in a fixed ladder move the estimate by at most 5 % each.
     """
-    if floor <= 0:
-        raise ValueError("floor must be positive")
-    table = harmonic_floor_table(pool, b, HARMONIC_FLOORS + (floor,))
-    value = table[float(floor)]
+    table = harmonic_floor_table(pool, b)
+    value = table[_HARMONIC_FLOOR]
     ladder = [table[f] for f in HARMONIC_FLOORS]
     stable = all(
         abs(ladder[i + 1] - ladder[i]) <= _STABILITY_RTOL * ladder[i]

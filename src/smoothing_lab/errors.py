@@ -14,7 +14,7 @@ class ZeroColumn(SmoothingLabError):
 
 
 class SingularDirection(SmoothingLabError):
-    """iota(a) = 0: some direction on the simplex is mapped to zero."""
+    """A matrix maps some direction on the simplex to zero."""
 
 
 class NoSingletonBranch(SmoothingLabError):
@@ -48,10 +48,6 @@ class RootNotBracketed(SmoothingLabError):
 
 class OutOfRange(SmoothingLabError):
     """An input lies outside the representable interval."""
-
-
-class NegativeInput(SmoothingLabError):
-    """A vector that must be entrywise nonnegative has a negative entry."""
 
 
 class EmptyTail(SmoothingLabError):

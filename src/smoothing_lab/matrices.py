@@ -32,12 +32,6 @@ def check_nonneg_matrix(a) -> np.ndarray:
     return a
 
 
-def operator_norm(a) -> float:
-    """L1-induced operator norm: maximum column sum of |a|."""
-    a = np.asarray(a, dtype=float)
-    return float(np.abs(a).sum(axis=0).max())
-
-
 def as_direction(x) -> np.ndarray:
     """Normalize a nonnegative nonzero vector onto the unit simplex."""
     x = np.asarray(x, dtype=float)
@@ -94,9 +88,6 @@ class PFDecomposition:
     right: np.ndarray
     left: np.ndarray
     remainder: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return self.radius * np.outer(self.right, self.left) + self.remainder
 
 
 def _power_direction(a: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
@@ -229,22 +220,3 @@ def contraction_coefficient(g, pairs: int = 256) -> float:
         return 0.0
     ratio = np.max(image[ok] / base[ok])
     return float(min(ratio, 1.0))
-
-
-def iota(a) -> float:
-    """min over the simplex of |a x|.
-
-    |a x| is linear in x on the simplex, so the minimum sits at a vertex and
-    equals the smallest column sum.
-    """
-    a = check_nonneg_matrix(a)
-    return float(a.sum(axis=0).min())
-
-
-def size_n(a) -> float:
-    """max(||a||, 1 / iota(a)); SingularDirection when iota(a) = 0."""
-    a = check_nonneg_matrix(a)
-    i = iota(a)
-    if i <= 0.0:
-        raise SingularDirection("iota(a) = 0, size is unbounded")
-    return max(operator_norm(a), 1.0 / i)

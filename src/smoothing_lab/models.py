@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._common import DEFAULT_ELEMENT_BUDGET, as_generator, resolve_budget
+from ._common import DEFAULT_ELEMENT_BUDGET, resolve_budget
 from .errors import BudgetExceeded, NoSingletonBranch
 from .matrices import check_nonneg_matrix
 
@@ -37,18 +37,6 @@ _KINDS = (KIND_EXPLICIT, KIND_IID, KIND_SCALAR)
 _PROB_TOL = 1e-12
 _MATRIX_TOL = 1e-12
 _IID_TOL = 1e-9               # slack on the factorised branch probabilities
-
-
-@dataclass(frozen=True)
-class BranchSample:
-    """One realization of (N, A_1, ..., A_N)."""
-
-    n: int
-    matrices: tuple
-
-    def __post_init__(self):
-        if self.n != len(self.matrices):
-            raise ValueError("n must equal the number of matrices")
 
 
 def _check_prob_list(ps, what: str) -> None:
@@ -213,20 +201,6 @@ def explicit_atoms(spec: ModelSpec, max_atoms: int | None = None) -> list:
     return out
 
 
-def sample_branch(spec: ModelSpec, seed) -> BranchSample:
-    """Draw one branch realization; deterministic given the seed."""
-    rng = as_generator(seed)
-    if spec.kind == KIND_IID:
-        n = spec.n_law[rng.choice(len(spec.n_law), p=[p for _, p in spec.n_law])][0]
-        mu_p = [p for p, _ in spec.mu_atoms]
-        idx = rng.choice(len(spec.mu_atoms), size=n, p=mu_p)
-        mats = tuple(spec.mu_atoms[i][1] for i in idx)
-    else:
-        table = spec.branch_table
-        mats = tuple(table.branch(table.draw(rng)))
-    return BranchSample(n=len(mats), matrices=mats)
-
-
 def mean_sum_matrix(spec: ModelSpec) -> np.ndarray:
     """Exact E[A_1 + ... + A_N]."""
     if spec.kind == KIND_IID:
@@ -353,23 +327,8 @@ def check_iid_coefficients(spec: ModelSpec) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization and the bundled example models
+# JSON loading and the bundled example models
 # ---------------------------------------------------------------------------
-
-def model_to_dict(spec: ModelSpec) -> dict:
-    out = {"dim": spec.dim, "kind": spec.kind}
-    if spec.kind == KIND_EXPLICIT:
-        out["atoms"] = [
-            {"prob": p, "branch": [m.tolist() for m in br]} for p, br in spec.atoms
-        ]
-    elif spec.kind == KIND_IID:
-        out["n_law"] = [{"n": n, "prob": p} for n, p in spec.n_law]
-        out["mu_atoms"] = [{"prob": p, "matrix": m.tolist()} for p, m in spec.mu_atoms]
-    else:
-        out["base_branch"] = [m.tolist() for m in spec.base_branch]
-        out["scalar_law"] = [{"prob": p, "value": x} for p, x in spec.scalar_law]
-    return out
-
 
 def model_from_dict(data: dict) -> ModelSpec:
     kind = data.get("kind")
@@ -405,12 +364,6 @@ def model_from_dict(data: dict) -> ModelSpec:
 def load_model(path) -> ModelSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return model_from_dict(json.load(fh))
-
-
-def save_model(spec: ModelSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(spec), fh, indent=2)
-        fh.write("\n")
 
 
 _MODEL_DIR = Path(__file__).resolve().parent / "models"

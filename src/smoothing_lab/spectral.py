@@ -39,6 +39,7 @@ from .models import (
 _RENORM_EVERY = 32
 _ALPHA_S_MIN = 1e-3           # left end of the moment-root grid
 _ALPHA_SLOPE_STEP = 0.05      # half-width of the decreasing-slope check
+_ALPHA_TOL = 1e-3             # accepted |m(alpha) - 1|
 _EIGEN_TOL = 1e-12
 _EIGEN_MAX_ITER = 20_000
 _A_MAX = 10.0                 # largest order the critical exponent is sought at
@@ -86,17 +87,19 @@ def _log_mean_exp(x: np.ndarray):
     return shift[..., 0] + np.log(mean), w, mean
 
 
-def _chain_moments(law_of, spec: ModelSpec, s, n: int, trials: int, seed):
-    """(growth rate, stderr) of E||chain||^s for one order or a sequence.
+def kappa_estimate(spec: ModelSpec, s, n: int, trials: int, seed):
+    """(kappa_hat, stderr): n-th root of the mean of ||chain||^s.
 
-    The mean of exp(s log||chain||) is taken in the log domain; the
-    delta-method stderr uses the shift-invariant ratio sd / mean.  Order 0
-    is (1, 0) exactly.
+    `s` is one order or a sequence of orders; a sequence is evaluated on one
+    shared set of chains and gives arrays.  The mean of exp(s log||chain||)
+    is taken in the log domain, and the standard error is propagated through
+    the n-th root by the delta method with the shift-invariant ratio
+    sd / mean.  s = 0 gives (1, 0) exactly.
     """
     if np.ndim(s) == 0 and s == 0.0:
         return 1.0, 0.0
     orders = np.atleast_1d(np.asarray(s, dtype=float))
-    logs = _chain_log_norms(law_of(spec), n, trials, seed)
+    logs = _chain_log_norms(mu_atom_law(spec), n, trials, seed)
     log_mean, w, mean = _log_mean_exp(orders[:, None] * logs)
     ratio = w.std(axis=1, ddof=1) / mean if trials > 1 else np.zeros_like(mean)
     value = np.exp(log_mean / n)
@@ -105,16 +108,6 @@ def _chain_moments(law_of, spec: ModelSpec, s, n: int, trials: int, seed):
     if np.ndim(s) == 0:
         return float(value[0]), float(stderr[0])
     return value, stderr
-
-
-def kappa_estimate(spec: ModelSpec, s, n: int, trials: int, seed):
-    """(kappa_hat, stderr): n-th root of the mean of ||chain||^s.
-
-    `s` is one order or a sequence of orders; a sequence is evaluated on one
-    shared set of chains and gives arrays.  The standard error is propagated
-    through the n-th root by the delta method.  s = 0 gives (1, 0) exactly.
-    """
-    return _chain_moments(mu_atom_law, spec, s, n, trials, seed)
 
 
 def kappa_one_exact(spec: ModelSpec) -> float:
@@ -131,8 +124,8 @@ def lyapunov_estimate(spec: ModelSpec, n: int = 1000, trials: int = 10_000,
     return float(logs.mean()), sd / np.sqrt(trials)
 
 
-def find_alpha(spec: ModelSpec, tol: float = 1e-3, *, n: int = 64,
-               trials: int = 40_000, seed=0) -> float:
+def find_alpha(spec: ModelSpec, *, n: int = 64, trials: int = 40_000,
+               seed=0) -> float:
     """Root of m(s) = 1 on (0, 1] with a negative-slope requirement.
 
     s = 1 is tried first through the exact path (E[N] times the spectral
@@ -155,7 +148,7 @@ def find_alpha(spec: ModelSpec, tol: float = 1e-3, *, n: int = 64,
         return m_hat(hi) - m_hat(lo) < 0.0
 
     m1_exact = en * kappa_one_exact(spec)
-    if abs(m1_exact - 1.0) <= tol:
+    if abs(m1_exact - 1.0) <= _ALPHA_TOL:
         if not slope_ok(1.0):
             raise WitnessNotFound("m(1) = 1 but the curve is not decreasing there")
         return 1.0
@@ -172,14 +165,14 @@ def find_alpha(spec: ModelSpec, tol: float = 1e-3, *, n: int = 64,
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         v = m_hat(mid)
-        if abs(v - 1.0) <= tol and hi - lo < 1e-6:
+        if abs(v - 1.0) <= _ALPHA_TOL and hi - lo < 1e-6:
             break
         if v > 1.0:
             lo = mid
         else:
             hi = mid
     alpha = 0.5 * (lo + hi)
-    if abs(m_hat(alpha) - 1.0) > tol:
+    if abs(m_hat(alpha) - 1.0) > _ALPHA_TOL:
         raise WitnessNotFound("bisection failed to pin the root")
     if not slope_ok(alpha):
         raise WitnessNotFound("root found but the slope check failed")
@@ -260,7 +253,8 @@ def discretize_transfer(spec: ModelSpec, s: float,
 
     Requires P[N = 1] > 0.  For the kernel to stay bounded every conditioned
     atom must map the whole simplex away from zero (guaranteed by a strictly
-    positive entry ratio bound, and exactly equivalent to iota(atom) > 0).
+    positive entry ratio bound, and exactly equivalent to every column of
+    the atom having a positive sum).
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
@@ -309,12 +303,6 @@ def transfer_eigen(disc: TransferDiscretization) -> TransferDiscretization:
 def kappa_tilde(spec: ModelSpec, s: float, grid_size: int = 512) -> float:
     """Leading eigenvalue of the conditioned transfer operator at order s."""
     return transfer_eigen(discretize_transfer(spec, s, grid_size)).eigenvalue
-
-
-def kappa_tilde_chain(spec: ModelSpec, s, n: int, trials: int, seed):
-    """Chain Monte Carlo route to the conditioned moment growth rate; `s`
-    and the result as in kappa_estimate."""
-    return _chain_moments(conditioned_a1_atoms, spec, s, n, trials, seed)
 
 
 def critical_exponent(spec: ModelSpec, tol: float = 1e-9,

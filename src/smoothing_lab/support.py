@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._common import DEFAULT_ELEMENT_BUDGET, charge_budget, resolve_budget
-from .errors import NegativeInput, OutOfRange, WitnessNotFound
+from .errors import OutOfRange, WitnessNotFound
 from .matrices import pf_decompose, spectral_radius
 from .models import ModelSpec, mu_support
 
@@ -240,19 +240,6 @@ def _polygon_ring(y: np.ndarray) -> np.ndarray:
     order = np.lexsort((y[:, 1], y[:, 0])).tolist()
     lower, upper = chain(order), chain(order[::-1])
     return np.array(lower[:-1] + upper[:-1])
-
-
-def membership(hull: ConeHull, x, tol: float = 1e-9) -> bool:
-    """Whether x >= 0 lies in the cone over the hull (scale invariant)."""
-    x = np.asarray(x, dtype=float)
-    _check_finite(x, "x")
-    if np.any(x < 0):
-        raise NegativeInput("membership is defined on the nonnegative cone")
-    _check_tol(tol)
-    s = x.sum()
-    if s <= tol:
-        return True
-    return bool(membership_fractions(hull, (x / s)[None], tol)[0])
 
 
 def _check_tol(tol: float) -> None:

@@ -85,10 +85,12 @@ def test_spectrum_does_not_solve_the_adjoint(tmp_path):
     # nearly diagonal atoms: the eigenvalue converges, the adjoint iteration
     # for the eigenmeasure (which spectrum never reads) would stall
     a = np.array([[0.5, 5e-6], [5e-6, 0.5]])
-    spec = sl.ModelSpec(dim=2, kind="ExplicitAtoms",
-                        atoms=((0.5, (a,)), (0.5, (a, a, a))))
+    model = {"dim": 2, "kind": "ExplicitAtoms", "atoms": [
+        {"prob": 0.5, "branch": [a.tolist()]},
+        {"prob": 0.5, "branch": [a.tolist()] * 3}]}
     path = tmp_path / "diag.json"
-    sl.save_model(spec, path)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(model, fh)
     prefix = tmp_path / "diag"
     assert main(["spectrum", "--model", str(path), "--seed", "1",
                  "--out-prefix", str(prefix), "--s-grid=-0.5,0.5",
@@ -296,15 +298,46 @@ def test_bad_input_exit_code(tmp_path, monkeypatch, capsys, argv, says):
     assert says in err and "zero-size" not in err
 
 
+@pytest.mark.parametrize("order, code", [("nan", 2), ("-1", 2), ("5000", 3)])
+def test_diagnose_rejected_order_writes_nothing(tmp_path, monkeypatch, order,
+                                                code):
+    # the harmonic orders are checked, and 0.5^-5000 overflows, before the
+    # first output is written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.csv").write_text(POOL_FILES["good.csv"])
+    assert main(["diagnose", "--model", "ex1", "--pool", "p.csv", "--seed",
+                 "1", "--out-prefix", "d", "--harmonic-b", order]) == code
+    assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
+
+
+def test_simulate_overflowing_mean_norm_exits_3(tmp_path, capsys):
+    # a finite start whose norm overflows: no pool and no manifest
+    out = tmp_path / "r.csv"
+    assert main(["simulate", "--model", "ex1", "--k", "10", "--rounds", "1",
+                 "--seed", "1", "--out", str(out),
+                 "--init", "1e308,1e308"]) == 3
+    assert "computation error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_json_outputs_reject_non_finite_values(tmp_path):
+    path = tmp_path / "x.json"
+    with pytest.raises(ValueError):
+        cli._write_json(path, {"x": [1.0, float("inf")]})
+    assert not path.exists()
+
+
 def test_require_alpha_exit_code(tmp_path):
     # doubled generators: the moment curve stays above one on (0, 1]
-    import smoothing_lab as sl
     from conftest import A1, A2
 
-    spec = sl.ModelSpec(dim=2, kind="IIDCoefficients", n_law=((2, 1.0),),
-                        mu_atoms=((0.5, 2 * A1), (0.5, 2 * A2)))
+    model = {"dim": 2, "kind": "IIDCoefficients",
+             "n_law": [{"n": 2, "prob": 1.0}],
+             "mu_atoms": [{"prob": 0.5, "matrix": (2 * m).tolist()}
+                          for m in (A1, A2)]}
     path = tmp_path / "noalpha.json"
-    sl.save_model(spec, path)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(model, fh)
     rc = main(["spectrum", "--model", str(path), "--seed", "2",
                "--out-prefix", str(tmp_path / "na"), "--s-grid", "0.5",
                "--chain-n", "10", "--trials", "500", "--lyap-n", "50",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import smoothing_lab as sl
+from smoothing_lab._common import as_generator
 from smoothing_lab.errors import NoSingletonBranch
 
 from conftest import A1, A2
@@ -58,54 +59,55 @@ def test_mu_atom_law(ex3):
     assert weights == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
+def drawn_branch(spec, seed):
+    table = spec.branch_table
+    return table.branch(table.draw(as_generator(seed)))
+
+
 def test_sample_branch_shapes(ex1, ex2, ex3):
-    b1 = sl.sample_branch(ex1, seed=1)
-    assert b1.n == 2
-    for m in b1.matrices:
+    b1 = drawn_branch(ex1, 1)
+    assert len(b1) == 2
+    for m in b1:
         assert np.allclose(m, A1) or np.allclose(m, A2)
 
-    b2 = sl.sample_branch(ex2, seed=2)
-    assert b2.n == 3
-    x = b2.matrices[0][0, 0] / A1[0, 0]
+    b2 = drawn_branch(ex2, 2)
+    assert len(b2) == 3
+    x = b2[0][0, 0] / A1[0, 0]
     assert min(abs(x - 0.25), abs(x - 0.75)) < 1e-12
     x = 0.25 if abs(x - 0.25) < 1e-12 else 0.75
-    assert np.allclose(b2.matrices[0], x * A1)
-    assert np.allclose(b2.matrices[1], x * A2)
-    assert np.allclose(b2.matrices[2], x * (A1 + A2))
+    assert np.allclose(b2[0], x * A1)
+    assert np.allclose(b2[1], x * A2)
+    assert np.allclose(b2[2], x * (A1 + A2))
 
-    b3 = sl.sample_branch(ex3, seed=3)
-    assert b3.n in (1, 2)
-    if b3.n == 2:
-        assert np.allclose(b3.matrices[0], A1)
-        assert np.allclose(b3.matrices[1], A2)
+    b3 = drawn_branch(ex3, 3)
+    assert len(b3) in (1, 2)
+    if len(b3) == 2:
+        assert np.allclose(b3[0], A1)
+        assert np.allclose(b3[1], A2)
 
 
 def test_sample_branch_draw_stream(ex3):
-    # one rng.choice over the atoms per call: the atoms drawn for seeds 0-9
+    # one rng.choice over the atoms per draw: the atoms drawn for seeds 0-9
     # are fixed, whatever the layout of the compiled branch table
     drawn = [0, 0, 2, 0, 1, 2, 2, 1, 1, 1]
     for seed, b in enumerate(drawn):
-        branch = sl.sample_branch(ex3, seed)
+        branch = drawn_branch(ex3, seed)
         expected = ex3.atoms[b][1]
-        assert branch.n == len(expected)
-        assert all(np.array_equal(m, e)
-                   for m, e in zip(branch.matrices, expected))
+        assert len(branch) == len(expected)
+        assert all(np.array_equal(m, e) for m, e in zip(branch, expected))
 
 
 def test_branch_frequencies_match_probabilities(ex3):
-    rng = np.random.default_rng(99)
+    table = ex3.branch_table
     trials = 100_000
-    counts = {1: 0, 2: 0}
-    singles = {"a1": 0, "a2": 0}
-    for _ in range(trials):
-        b = sl.sample_branch(ex3, rng)
-        counts[b.n] += 1
-        if b.n == 1:
-            singles["a1" if np.allclose(b.matrices[0], A1) else "a2"] += 1
+    ids = table.draw(np.random.default_rng(99), trials)
+    single = table.sizes[ids] == 1
+    is_a1 = np.array([np.allclose(table.branch(b)[0], A1)
+                      for b in range(table.probs.size)])
     # four standard errors of a fair coin over 1e5 draws
     se = 4 * 0.5 / np.sqrt(trials)
-    assert counts[1] / trials == pytest.approx(0.5, abs=se)
-    assert singles["a1"] / max(counts[1], 1) == pytest.approx(0.5, abs=3e-2)
+    assert single.mean() == pytest.approx(0.5, abs=se)
+    assert is_a1[ids[single]].mean() == pytest.approx(0.5, abs=3e-2)
 
 
 def test_branch_table_entry_stack(ex2, ex3):
@@ -209,16 +211,3 @@ def test_mu_law_merge_is_scale_invariant(ex3, scale):
     near = sl.ModelSpec(dim=2, kind="ExplicitAtoms", atoms=(
         (1.0, (scale * A1, scale * A1 * (1 + 1e-9))),))
     assert len(sl.mu_atom_law(near)) == 2
-
-
-def test_json_roundtrip(tmp_path, ex2):
-    path = tmp_path / "model.json"
-    sl.save_model(ex2, path)
-    again = sl.load_model(path)
-    assert again.kind == ex2.kind
-    assert sl.expected_n(again) == sl.expected_n(ex2)
-    assert np.allclose(sl.mean_sum_matrix(again), sl.mean_sum_matrix(ex2))
-    # file is plain JSON with row-major matrices
-    data = json.loads(path.read_text())
-    assert data["dim"] == 2
-    assert data["base_branch"][0] == [[0.2, 0.2], [0.2, 0.2]]
