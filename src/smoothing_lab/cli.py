@@ -76,7 +76,7 @@ def _load_model_arg(arg: str) -> tuple:
             raise ValueError(f"model file not found: {arg}")
     try:
         return load_model(path), str(path)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # malformed JSON or a malformed model
         raise ValueError(f"invalid model file {path}: {exc}") from exc
 
 
@@ -163,20 +163,21 @@ def cmd_spectrum(args) -> int:
     )
     if args.require_alpha and profile.alpha is None:
         raise NoConvergence("no moment-root found and --require-alpha is set")
-    csv_path = _appended(args.out_prefix, ".csv")
-    json_path = _appended(args.out_prefix, ".json")
     rows = []
     for i, s in enumerate(profile.s_grid):
         kt = profile.kappa_tilde.get(float(s), "")
         rows.append([s, profile.kappa[i], profile.kappa_stderr[i],
                      profile.m[i], kt])
-    _write_csv(csv_path, ["s", "kappa", "stderr", "m", "kappa_tilde"], rows)
+    # the JSON is checked for non-finite values before the first file opens
+    csv_path = _appended(args.out_prefix, ".csv")
+    json_path = _appended(args.out_prefix, ".json")
     _write_json(json_path, {
         "gamma": profile.gamma,
         "gamma_stderr": profile.gamma_stderr,
         "alpha": profile.alpha,
         "a0": profile.a0,
     })
+    _write_csv(csv_path, ["s", "kappa", "stderr", "m", "kappa_tilde"], rows)
     _write_manifest(args, model_path, [csv_path, json_path])
     return 0
 

@@ -37,6 +37,7 @@ _KINDS = (KIND_EXPLICIT, KIND_IID, KIND_SCALAR)
 _PROB_TOL = 1e-12
 _MATRIX_TOL = 1e-12
 _IID_TOL = 1e-9               # slack on the factorised branch probabilities
+_COUNTED_ATOMS = 8            # largest table drawn by counting CDF crossings
 
 
 def _check_prob_list(ps, what: str) -> None:
@@ -68,7 +69,8 @@ class BranchTable:
     """The joint branch law compiled into arrays: atom b, with probability
     probs[b], is the branch mats[offsets[b]:offsets[b] + sizes[b]] summing to
     sums[b].  cols[i, j] = mats[:, i, j] is the entry stack that `row`
-    gathers from.  The arrays are read-only, since every reader shares them."""
+    gathers from, and cdf the normalised cumulative probabilities that `draw`
+    inverts.  The arrays are read-only, since every reader shares them."""
 
     probs: np.ndarray    # (B,)
     mats: np.ndarray     # (M, d, d)
@@ -76,6 +78,7 @@ class BranchTable:
     offsets: np.ndarray  # (B,)
     sums: np.ndarray     # (B, d, d)
     cols: np.ndarray     # (d, d, M)
+    cdf: np.ndarray      # (B,), cdf[-1] == 1
 
     @classmethod
     def compile(cls, atoms) -> "BranchTable":
@@ -83,10 +86,12 @@ class BranchTable:
         mats = np.stack([m for _, br in atoms for m in br])
         sizes = np.array([len(br) for _, br in atoms])
         offsets = np.cumsum(sizes) - sizes
-        table = cls(probs=np.array([p for p, _ in atoms]), mats=mats,
-                    sizes=sizes, offsets=offsets,
+        probs = np.array([p for p, _ in atoms])
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        table = cls(probs=probs, mats=mats, sizes=sizes, offsets=offsets,
                     sums=np.add.reduceat(mats, offsets, axis=0),
-                    cols=mats.transpose(1, 2, 0).copy())
+                    cols=mats.transpose(1, 2, 0).copy(), cdf=cdf)
         for a in vars(table).values():
             a.flags.writeable = False
         return table
@@ -95,8 +100,20 @@ class BranchTable:
         return self.mats[self.offsets[b]:self.offsets[b] + self.sizes[b]]
 
     def draw(self, rng, size=None):
-        """Atom ids drawn i.i.d. from probs."""
-        return rng.choice(self.probs.size, size=size, p=self.probs)
+        """Atom ids drawn i.i.d. from probs: the ids, and the uniforms
+        consumed, of rng.choice(B, size, p=probs), bit for bit.
+
+        A uniform u gives the number of cdf entries <= u.  Small tables count
+        the crossings of cdf[:-1] directly, which beats the binary search.
+        """
+        u = rng.random(size)
+        if self.cdf.size > _COUNTED_ATOMS:
+            ids = self.cdf.searchsorted(u, side="right")
+        else:
+            ids = np.zeros(np.shape(u), dtype=np.int64)
+            for c in self.cdf[:-1]:
+                ids += u >= c
+        return int(ids) if size is None else ids
 
     def row(self, i: int, ids: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Row i of mats[ids[e]] @ x[:, ..., e] along x's last axis e, summed
@@ -330,34 +347,45 @@ def check_iid_coefficients(spec: ModelSpec) -> bool:
 # JSON loading and the bundled example models
 # ---------------------------------------------------------------------------
 
-def model_from_dict(data: dict) -> ModelSpec:
+def model_from_dict(data) -> ModelSpec:
+    """The model of a parsed JSON document; ValueError when the document is
+    not an object with an integer dim, or an entry is malformed."""
+    if not isinstance(data, dict):
+        raise ValueError("a model is a JSON object")
     kind = data.get("kind")
     dim = data.get("dim")
-    if kind == KIND_EXPLICIT:
-        atoms = tuple(
-            (a["prob"], tuple(np.array(m, dtype=float) for m in a["branch"]))
-            for a in data["atoms"]
-        )
-        return ModelSpec(dim=dim, kind=kind, atoms=atoms)
-    if kind == KIND_IID:
-        return ModelSpec(
-            dim=dim,
-            kind=kind,
-            n_law=tuple((a["n"], a["prob"]) for a in data["n_law"]),
-            mu_atoms=tuple(
-                (a["prob"], np.array(a["matrix"], dtype=float))
-                for a in data["mu_atoms"]
-            ),
-        )
-    if kind == KIND_SCALAR:
-        return ModelSpec(
-            dim=dim,
-            kind=kind,
-            base_branch=tuple(
-                np.array(m, dtype=float) for m in data["base_branch"]
-            ),
-            scalar_law=tuple((a["prob"], a["value"]) for a in data["scalar_law"]),
-        )
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ValueError(f"dim must be an integer, got {dim!r}")
+    try:
+        if kind == KIND_EXPLICIT:
+            atoms = tuple(
+                (a["prob"],
+                 tuple(np.array(m, dtype=float) for m in a["branch"]))
+                for a in data["atoms"]
+            )
+            return ModelSpec(dim=dim, kind=kind, atoms=atoms)
+        if kind == KIND_IID:
+            return ModelSpec(
+                dim=dim,
+                kind=kind,
+                n_law=tuple((a["n"], a["prob"]) for a in data["n_law"]),
+                mu_atoms=tuple(
+                    (a["prob"], np.array(a["matrix"], dtype=float))
+                    for a in data["mu_atoms"]
+                ),
+            )
+        if kind == KIND_SCALAR:
+            return ModelSpec(
+                dim=dim,
+                kind=kind,
+                base_branch=tuple(
+                    np.array(m, dtype=float) for m in data["base_branch"]
+                ),
+                scalar_law=tuple((a["prob"], a["value"])
+                                 for a in data["scalar_law"]),
+            )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {kind} entry: {exc!r}") from exc
     raise ValueError(f"unknown model kind {kind!r}")
 
 

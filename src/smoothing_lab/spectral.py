@@ -2,14 +2,16 @@
 
 Chain quantities (growth rates of norm moments, the Lyapunov exponent) are
 estimated by Monte Carlo over products of i.i.d. matrices with periodic
-renormalization.  One kernel draws every chain: each step is the row gather
-of a branch table of singleton branches, as in a pool round.  Moments
-of several orders are read off one set of chains, in the log domain.  The
-conditioned singleton-branch law additionally gets a discretized transfer
-operator on the direction simplex whose leading eigenvalue extends the
-moment growth rate to negative orders; its root against 1/P[N = 1] is the
-critical harmonic-moment exponent.  The operator interpolates linearly on
-the Freudenthal (Kuhn) triangulation of the lattice grid, in closed form.
+renormalization.  One kernel draws every chain: a row gather of a branch
+table of singleton branches, as in a pool round, advances the chains by a
+word of several steps, read from a table of every word of the chain law.
+Moments of several orders are read off one set of chains, in the log
+domain.  The conditioned singleton-branch law additionally gets a
+discretized transfer operator on the direction simplex whose leading
+eigenvalue extends the moment growth rate to negative orders; its root
+against 1/P[N = 1] is the critical harmonic-moment exponent.  The operator
+interpolates linearly on the Freudenthal (Kuhn) triangulation of the
+lattice grid, in closed form.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ from .errors import (
     FurstenbergKestenViolated,
     NoConvergence,
     RootNotBracketed,
+    SingularDirection,
     WitnessNotFound,
 )
 from .matrices import _power_direction, spectral_radius
@@ -37,6 +40,7 @@ from .models import (
 )
 
 _RENORM_EVERY = 32
+_WORD_TABLE = 256             # most words of k chain steps compiled at once
 _ALPHA_S_MIN = 1e-3           # left end of the moment-root grid
 _ALPHA_SLOPE_STEP = 0.05      # half-width of the decreasing-slope check
 _ALPHA_TOL = 1e-3             # accepted |m(alpha) - 1|
@@ -53,10 +57,18 @@ _A_MAX = 10.0                 # largest order the critical exponent is sought at
 def _chain_log_norms(law, n: int, trials: int, seed) -> np.ndarray:
     """log ||M_n ... M_1|| for `trials` independent chains drawn from `law`.
 
-    law: list of (probability, matrix), compiled as singleton branches.  A
-    step is the table's row gather on the (d, d, trials) product stack.  The
-    stack is renormalized every few steps and at the end, and the log scale
-    accumulated, since the chains decay geometrically.
+    law: list of (probability, matrix), compiled as singleton branches of M
+    atoms.  The chains advance k steps per row gather on the (d, d, trials)
+    product stack, from a second table of all M**k words, where k is the
+    largest power of two <= _RENORM_EVERY with M**k <= _WORD_TABLE, so that
+    no word straddles a renormalization.  The M**k words are indexed so that
+    the atoms ids[0], ..., ids[k-1] drawn for steps 1 to k of a block make
+    word sum_j ids[j] M**j, the product M_{ids[k-1]} ... M_{ids[0]}.  So the
+    draws are those of one step at a time, and only the order of the
+    multiplications changes.  The last n mod k steps run one at a time on
+    the base table.  The stack is renormalized every _RENORM_EVERY steps and
+    at the end, and the log scale accumulated, since the chains decay
+    geometrically.  Raises SingularDirection when a chain product vanishes.
     """
     if n < 1:
         raise ValueError("chain length must be >= 1")
@@ -64,14 +76,31 @@ def _chain_log_norms(law, n: int, trials: int, seed) -> np.ndarray:
         raise ValueError("chain trials must be >= 1")
     rng = as_generator(seed)
     table = BranchTable.compile([(p, [m]) for p, m in law])
-    d = table.mats.shape[1]
+    atoms, d = table.mats.shape[:2]
+    k = 1
+    while 2 * k <= _RENORM_EVERY and atoms ** (2 * k) <= _WORD_TABLE:
+        k *= 2
+    words, probs = table.mats, table.probs
+    for _ in range(k - 1):
+        words = (table.mats[:, None] @ words[None]).reshape(-1, d, d)
+        probs = np.outer(table.probs, probs).ravel()
+    word_table = BranchTable.compile([(p, [w]) for p, w in zip(probs, words)])
     prod = np.eye(d)[:, :, None].repeat(trials, axis=2)
     logscale = np.zeros(trials)
-    for step in range(1, n + 1):
+    step = 0
+    while step < n:
+        width = k if n - step >= k else 1
+        gather = word_table if width == k else table
         ids = table.draw(rng, trials)
-        prod = np.stack([table.row(i, ids, prod) for i in range(d)])
+        for j in range(1, width):
+            ids += table.draw(rng, trials) * atoms ** j
+        prod = np.stack([gather.row(i, ids, prod) for i in range(d)])
+        step += width
         if step % _RENORM_EVERY == 0 or step == n:
             scale = prod.sum(axis=0).max(axis=0)  # entries are nonnegative
+            if not scale.all():
+                raise SingularDirection(
+                    f"a chain product vanished by step {step}")
             logscale += np.log(scale)
             prod /= scale
     return logscale

@@ -228,6 +228,17 @@ POOL_FILES = {"bad.csv": "x0,x1\n1,2,3\n", "neg.csv": "x0,x1\n1,-2\n",
               "nan.csv": "z0,z1\n0.4,0.6\nnan,0.3\n",
               "inf.csv": "z0,z1\n0.4,inf\n0.2,0.3\n"}
 
+HALF = [[0.5, 0.5], [0.5, 0.5]]
+MODEL_FILES = {
+    "dim-str.json": {"kind": "ExplicitAtoms", "dim": "2",
+                     "atoms": [{"prob": 1.0, "branch": [HALF, HALF]}]},
+    "dim-missing.json": {"kind": "ExplicitAtoms",
+                         "atoms": [{"prob": 1.0, "branch": [HALF, HALF]}]},
+    "list.json": [{"kind": "ExplicitAtoms", "dim": 2}],
+    "atom-lists.json": {"kind": "ExplicitAtoms", "dim": 2,
+                        "atoms": [[1.0, [HALF, HALF]]]},
+}
+
 
 @pytest.mark.parametrize("argv, says", [
     (["diagnose", "--model", "ex1", "--pool", "missing.csv", "--seed", "1",
@@ -280,6 +291,10 @@ POOL_FILES = {"bad.csv": "x0,x1\n1,2,3\n", "neg.csv": "x0,x1\n1,-2\n",
     (["spectrum", "--model", "ex3", "--seed", "1", "--out-prefix", "s",
       "--chain-n", "8", "--trials", "100", "--lyap-n", "10",
       "--lyap-trials", "100", "--grid-size", "1"], "grid_size"),
+    (["check", "--model", "dim-str.json"], "dim must be an integer"),
+    (["check", "--model", "dim-missing.json"], "dim must be an integer"),
+    (["check", "--model", "list.json"], "JSON object"),
+    (["check", "--model", "atom-lists.json"], "malformed"),
 ], ids=["diagnose-missing", "diagnose-malformed", "diagnose-negative",
         "support-missing", "support-malformed", "support-negative",
         "simulate-k0", "simulate-tail-index", "spectrum-chain-n",
@@ -287,11 +302,14 @@ POOL_FILES = {"bad.csv": "x0,x1\n1,2,3\n", "neg.csv": "x0,x1\n1,-2\n",
         "spectrum-trials", "spectrum-lyap-trials", "diagnose-probes",
         "diagnose-nan", "diagnose-inf", "support-nan", "support-inf",
         "diagnose-max-exp", "simulate-init-nan", "spectrum-s-grid-nan",
-        "diagnose-harmonic-b-nan", "spectrum-grid-size-1"])
+        "diagnose-harmonic-b-nan", "spectrum-grid-size-1", "model-dim-str",
+        "model-dim-missing", "model-list", "model-atom-lists"])
 def test_bad_input_exit_code(tmp_path, monkeypatch, capsys, argv, says):
     monkeypatch.chdir(tmp_path)
     for name, text in POOL_FILES.items():
         (tmp_path / name).write_text(text)
+    for name, data in MODEL_FILES.items():
+        (tmp_path / name).write_text(json.dumps(data))
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
@@ -318,6 +336,23 @@ def test_simulate_overflowing_mean_norm_exits_3(tmp_path, capsys):
                  "--init", "1e308,1e308"]) == 3
     assert "computation error" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_spectrum_vanishing_products_write_nothing(tmp_path, monkeypatch,
+                                                  capsys):
+    # products of the nilpotent atom vanish: the chains raise, so no CSV of
+    # nan values is left behind
+    monkeypatch.chdir(tmp_path)
+    nil = [[0.0, 1.0], [0.0, 0.0]]
+    (tmp_path / "nil.json").write_text(json.dumps({
+        "kind": "ExplicitAtoms", "dim": 2,
+        "atoms": [{"prob": 0.5, "branch": [nil, nil]},
+                  {"prob": 0.5, "branch": [nil, [[0.6, 0.2], [0.3, 0.5]]]}]}))
+    assert main(["spectrum", "--model", "nil.json", "--seed", "1",
+                 "--out-prefix", "nil", "--chain-n", "16", "--trials", "200",
+                 "--lyap-n", "50", "--lyap-trials", "100"]) == 3
+    assert "computation error" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["nil.json"]
 
 
 def test_json_outputs_reject_non_finite_values(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 import smoothing_lab as sl
 from smoothing_lab._common import as_generator
 from smoothing_lab.errors import NoSingletonBranch
+from smoothing_lab.models import BranchTable
 
 from conftest import A1, A2
 
@@ -108,6 +109,35 @@ def test_branch_frequencies_match_probabilities(ex3):
     se = 4 * 0.5 / np.sqrt(trials)
     assert single.mean() == pytest.approx(0.5, abs=se)
     assert is_a1[ids[single]].mean() == pytest.approx(0.5, abs=3e-2)
+
+
+@pytest.mark.parametrize("atoms", [1, 2, 3, 8, 9, 117])
+def test_branch_table_draw_matches_choice(atoms):
+    # counted crossings up to 8 atoms, binary search above: both are
+    # rng.choice's ids and consume its uniforms
+    probs = np.random.default_rng(atoms).uniform(0.1, 1.0, atoms)
+    probs /= probs.sum()
+    table = BranchTable.compile([(p, [A1]) for p in probs])
+    for seed in range(20):
+        for size in (None, 7, (3, 5)):
+            rng, ref = as_generator(seed), as_generator(seed)
+            ids = table.draw(rng, size)
+            expected = ref.choice(atoms, size, p=table.probs)
+            assert type(ids) is type(expected)
+            assert np.array_equal(ids, expected)
+            assert np.shape(ids) == np.shape(expected)
+            assert rng.random() == ref.random()
+
+
+def test_branch_table_draw_on_a_cdf_entry():
+    # the first uniform of seed 5 is cdf[0] exactly, which rng.choice maps
+    # to the next atom
+    u = as_generator(5).random()
+    table = BranchTable.compile([(u, [A1]), (1.0 - u, [A2])])
+    assert table.cdf[0] == u
+    assert as_generator(5).choice(2, p=table.probs) == 1
+    assert table.draw(as_generator(5)) == 1
+    assert table.draw(as_generator(5), 1)[0] == 1
 
 
 def test_branch_table_entry_stack(ex2, ex3):

@@ -8,6 +8,7 @@ from smoothing_lab.errors import (
     FurstenbergKestenViolated,
     NoConvergence,
     NoSingletonBranch,
+    SingularDirection,
     WitnessNotFound,
 )
 from smoothing_lab.spectral import _chain_log_norms
@@ -102,26 +103,47 @@ CHAIN_LAWS = {
     2: [(0.25, A1), (0.25, A2), (0.5, np.array([[0.3, 0.1], [0.2, 0.4]]))],
     3: [(p, np.random.default_rng(d).uniform(0.02, 0.3, (3, 3)))
         for d, p in enumerate((0.2, 0.5, 0.3))],
+    # 32 steps per word, and one step per gather
+    "one-atom": [(1.0, np.array([[0.3, 0.1], [0.2, 0.4]]))],
+    "17-atoms": [(1 / 17, m) for m in
+                 np.random.default_rng(17).uniform(0.02, 0.3, (17, 2, 2))],
 }
 
 
-@pytest.mark.parametrize("n", [33, 70])
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_chain_log_norms_matches_reference_loop(d, n):
+@pytest.mark.parametrize("n", [1, 33, 70])
+@pytest.mark.parametrize("name", list(CHAIN_LAWS))
+def test_chain_log_norms_matches_reference_loop(name, n):
     # chain by chain over the same draws: one atom per chain and step,
     # multiplied on the left, with no renormalization
-    law = CHAIN_LAWS[d]
+    law = CHAIN_LAWS[name]
+    dim = law[0][1].shape[0]
     trials = 50
     logs = _chain_log_norms(law, n, trials, seed=11)
     rng = as_generator(11)
     draws = [rng.choice(len(law), size=trials, p=[p for p, _ in law])
              for _ in range(n)]
     for t in range(trials):
-        prod = np.eye(d)
+        prod = np.eye(dim)
         for ids in draws:
             prod = law[ids[t]][1] @ prod
         ref = np.log(np.abs(prod).sum(axis=0).max())
         assert logs[t] == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def vanishing_model():
+    """Products of the nilpotent atom with itself are the zero matrix."""
+    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
+    other = np.array([[0.6, 0.2], [0.3, 0.5]])
+    return sl.ModelSpec(dim=2, kind="ExplicitAtoms",
+                        atoms=((0.5, (nil, nil)), (0.5, (nil, other))))
+
+
+def test_vanishing_chain_products_raise():
+    spec = vanishing_model()
+    with pytest.raises(SingularDirection):
+        sl.kappa_estimate(spec, [-0.5, 0.5, 1.0], 16, 200, 1)
+    with pytest.raises(SingularDirection):
+        sl.lyapunov_estimate(spec, 50, 100, 1)
 
 
 def test_kappa_estimate_sequence_shares_chains(ex1):
