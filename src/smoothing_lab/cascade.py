@@ -28,6 +28,7 @@ from .models import BranchTable, ModelSpec, expected_n, mean_sum_matrix, mu_mean
 
 _TREE_CHUNK = 512
 _ALIVE_BLOCK = 4096
+_CSV_BLOCK = 4096             # pool rows formatted per write
 # |A^T t| counts as zero up to ZERO_TOL |t|, here and in kill_counts
 ZERO_TOL = 1e-12
 
@@ -279,9 +280,15 @@ def _alive_counts(carriers, probes, thresholds) -> np.ndarray:
 
 
 def pool_to_csv(pool: SamplePool, path) -> None:
-    np.savetxt(path, pool.samples, fmt="%.17g", delimiter=",",
-               header=",".join(f"z{i}" for i in range(pool.dim)),
-               comments="", newline="\r\n")
+    """One `%.17g` cell per coordinate, CRLF rows after a z0,z1,... header;
+    each block of _CSV_BLOCK rows is formatted by one `%` of a repeated row
+    template, so no string of the whole pool is built."""
+    row = ",".join(["%.17g"] * pool.dim) + "\r\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(f"z{i}" for i in range(pool.dim)) + "\r\n")
+        for start in range(0, pool.size, _CSV_BLOCK):
+            block = pool.samples[start:start + _CSV_BLOCK]
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def pool_from_csv(path) -> SamplePool:

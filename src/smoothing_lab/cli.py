@@ -88,10 +88,16 @@ def _write_json(path, payload) -> None:
 
 
 def _write_csv(path, header, rows) -> None:
+    """A non-finite number raises before the file is opened, as in JSON."""
+    numbers = (int, float, np.floating)
+    for row in rows:
+        for x in row:
+            if isinstance(x, numbers) and not np.isfinite(x):
+                raise ValueError(f"non-finite value {x!r} for {path}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(x) if isinstance(x, (int, float, np.floating))
+            fh.write(",".join(_fmt(x) if isinstance(x, numbers)
                               else str(x) for x in row) + "\n")
 
 

@@ -2,7 +2,9 @@
 that drive characteristic-function decay.
 
 All estimators are pure folds over a sample pool, reduced with numpy's
-pairwise summation; the transform curve squares its way up the dyadic radii.
+pairwise summation; the transform curve squares its way up the dyadic radii
+and takes the pool in fixed-size row blocks, adding the samples in pool
+order, so its memory does not grow with the pool.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from .errors import EmptyTail, InsufficientDecay, OutOfRange
 from .models import ModelSpec
 
 _PROBE_STREAM = 0xD1A6005E
+_ECF_BLOCK_BYTES = 1 << 19    # bytes of complex phases per ECF row block
 _DECAY_MAX_MODULUS = 0.9      # radii whose modulus stays below this are fitted
 _DECAY_MIN_POINTS = 5
 _DECAY_BOOTSTRAPS = 500
@@ -51,18 +54,37 @@ class TransformCurve:
 def transform_curve(pool, max_exp: int = 14,
                     n_probes: int | None = None) -> TransformCurve:
     """Sup-modulus curve on the radii 2^0 .. 2^max_exp: exp(i 2r phi) is
-    exp(i r phi) squared, so one exp at radius 1, then a squaring per radius."""
+    exp(i r phi) squared, so one exp at radius 1, then a squaring per radius.
+
+    The pool is taken in row blocks of about _ECF_BLOCK_BYTES of complex
+    phases, so memory does not grow with the pool size.  Each radius keeps
+    its running sum in row 0 of the block buffer, so the column sums still
+    add the samples one at a time in pool order, and the curve is the same,
+    bit for bit, as the mean over one (K, P) array.
+    """
     if max_exp < 0:
         raise ValueError(f"max_exp must be >= 0, got {max_exp}")
     if n_probes is None:
         n_probes = 32 if pool.dim <= 2 else 128
     probes = sphere_grid(pool.dim, n_probes)
-    e = np.exp(1j * (pool.samples @ probes.T))     # (K, P) at radius 1
-    modulus = np.empty(max_exp + 1)
-    for i in range(max_exp + 1):
-        modulus[i] = np.abs(e.mean(axis=0)).max()
-        if i < max_exp:
-            np.square(e, out=e)
+    width = probes.shape[0]                    # a 1-dim grid has two probes
+    rows = max(1, _ECF_BLOCK_BYTES // (16 * width))
+    buf = np.empty((rows + 1, width), dtype=complex)
+    sums = np.zeros((max_exp + 1, width), dtype=complex)
+    for start in range(0, pool.size, rows):
+        n = min(rows, pool.size - start)
+        # a lone row would go through gemv, which rounds differently from
+        # the gemm of longer blocks, so it borrows the row before it
+        lo = start - 1 if n == 1 and start > 0 else start
+        e = buf[1:n + 1]
+        np.multiply(1j, (pool.samples[lo:start + n] @ probes.T)[-n:], out=e)
+        np.exp(e, out=e)                           # radius 1
+        for i in range(max_exp + 1):
+            buf[0] = sums[i]
+            buf[:n + 1].sum(axis=0, out=sums[i])
+            if i < max_exp:
+                np.square(e, out=e)
+    modulus = np.array([np.abs(s / pool.size).max() for s in sums])
     return TransformCurve(
         radii=2.0 ** np.arange(max_exp + 1), probe_directions=probes,
         modulus=modulus, stderr=1.0 / np.sqrt(pool.size),
@@ -86,12 +108,13 @@ def decay_fit(curve: TransformCurve, seed=0):
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
     a_hat = -coef[0]
+    # every resample in one draw (the stream of one draw per resample) and
+    # one lstsq with a column per resample
     rng = as_generator(seed)
-    boots = np.empty(_DECAY_BOOTSTRAPS)
-    for b in range(_DECAY_BOOTSTRAPS):
-        yb = design @ coef + rng.choice(resid, size=resid.size, replace=True)
-        cb, *_ = np.linalg.lstsq(design, yb, rcond=None)
-        boots[b] = -cb[0]
+    draws = rng.choice(resid, size=(_DECAY_BOOTSTRAPS, resid.size))
+    cb, *_ = np.linalg.lstsq(design, (design @ coef)[:, None] + draws.T,
+                             rcond=None)
+    boots = -cb[0]
     lo, hi = np.quantile(boots, [0.025, 0.975])
     ci = (float(min(lo, a_hat)), float(max(hi, a_hat)))
     return float(a_hat), ci

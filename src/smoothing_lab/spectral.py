@@ -24,6 +24,7 @@ from ._common import as_generator, spawn_generators
 from .errors import (
     FurstenbergKestenViolated,
     NoConvergence,
+    OutOfRange,
     RootNotBracketed,
     SingularDirection,
     WitnessNotFound,
@@ -123,7 +124,8 @@ def kappa_estimate(spec: ModelSpec, s, n: int, trials: int, seed):
     shared set of chains and gives arrays.  The mean of exp(s log||chain||)
     is taken in the log domain, and the standard error is propagated through
     the n-th root by the delta method with the shift-invariant ratio
-    sd / mean.  s = 0 gives (1, 0) exactly.
+    sd / mean.  s = 0 gives (1, 0) exactly; OutOfRange when the n-th root
+    overflows or underflows to zero at a nonzero order.
     """
     if np.ndim(s) == 0 and s == 0.0:
         return 1.0, 0.0
@@ -131,7 +133,12 @@ def kappa_estimate(spec: ModelSpec, s, n: int, trials: int, seed):
     logs = _chain_log_norms(mu_atom_law(spec), n, trials, seed)
     log_mean, w, mean = _log_mean_exp(orders[:, None] * logs)
     ratio = w.std(axis=1, ddof=1) / mean if trials > 1 else np.zeros_like(mean)
-    value = np.exp(log_mean / n)
+    with np.errstate(over="ignore", under="ignore"):
+        value = np.exp(log_mean / n)
+    lost = (orders != 0.0) & ~((value > 0) & np.isfinite(value))
+    if lost.any():
+        raise OutOfRange(f"kappa({float(orders[lost][0])}) at chain length "
+                         f"{n} is {float(value[lost][0])}, out of double range")
     stderr = value * ratio / (n * np.sqrt(trials))
     value[orders == 0.0], stderr[orders == 0.0] = 1.0, 0.0
     if np.ndim(s) == 0:

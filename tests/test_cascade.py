@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import smoothing_lab as sl
+from smoothing_lab import cascade
 from smoothing_lab._common import as_generator, spawn_generators
 from smoothing_lab.errors import SupercriticalBlowup
 
@@ -263,10 +264,12 @@ _EDGE_VALUES = [5e-324, 1e-300, 1e300, 0.1, 0.0, 1.0, 7.0, 123456789.0,
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_pool_csv_bytes_match_csv_writer(tmp_path, dim):
-    # subnormal, extreme, decimal-inexact and whole values, one row per sample
+    # subnormal, extreme, decimal-inexact and whole values, one row per
+    # sample, over more rows than one write block holds
     rng = np.random.default_rng(dim)
     values = np.array(_EDGE_VALUES + list(rng.exponential(size=3 * dim)))
-    samples = rng.permutation(np.resize(values, values.size * dim))
+    rows = 2 * cascade._CSV_BLOCK + values.size
+    samples = rng.permutation(np.resize(values, rows * dim))
     pool = sl.SamplePool(dim=dim, samples=samples.reshape(-1, dim))
     path = tmp_path / "pool.csv"
     sl.pool_to_csv(pool, path)

@@ -362,6 +362,27 @@ def test_json_outputs_reject_non_finite_values(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("s_grid", ["-2000,0.5", "3000"])
+def test_spectrum_out_of_range_kappa_writes_nothing(tmp_path, monkeypatch,
+                                                    capsys, s_grid):
+    # the 64-th root of E||chain||^s overflows at s = -2000 and underflows to
+    # a spurious zero at s = 3000, though its log is finite
+    monkeypatch.chdir(tmp_path)
+    assert main(["spectrum", "--model", "ex1", "--seed", "1", "--out-prefix",
+                 "big", f"--s-grid={s_grid}", "--chain-n", "64", "--trials",
+                 "1000", "--lyap-n", "50", "--lyap-trials", "100"]) == 3
+    assert "computation error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), np.float64("-inf")])
+def test_csv_outputs_reject_non_finite_values(tmp_path, bad):
+    path = tmp_path / "x.csv"
+    with pytest.raises(ValueError, match="non-finite"):
+        cli._write_csv(path, ["a", "b"], [[1.0, ""], [2.0, bad]])
+    assert not path.exists()
+
+
 def test_require_alpha_exit_code(tmp_path):
     # doubled generators: the moment curve stays above one on (0, 1]
     from conftest import A1, A2

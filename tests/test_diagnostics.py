@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import smoothing_lab as sl
+from smoothing_lab import diagnostics
 from smoothing_lab.diagnostics import harmonic_floor_table
 from smoothing_lab.errors import EmptyTail, InsufficientDecay
 
@@ -72,6 +75,48 @@ def test_transform_curve_matches_per_radius_exp(pool_ex2, dim, max_exp):
     np.testing.assert_allclose(curve.modulus, ref, rtol=0, atol=1e-12)
 
 
+def _unblocked_modulus(pool, probes, max_exp=14):
+    # one exp over the whole (K, P) phase array, squared in place
+    e = np.exp(1j * (pool.samples @ probes.T))
+    modulus = np.empty(max_exp + 1)
+    for i in range(max_exp + 1):
+        modulus[i] = np.abs(e.mean(axis=0)).max()
+        if i < max_exp:
+            np.square(e, out=e)
+    return modulus
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("size", [
+    lambda b: 1, lambda b: b - 1, lambda b: b, lambda b: b + 1,
+    lambda b: 3 * b + 5,
+], ids=["1", "block-1", "block", "block+1", "3block+5"])
+def test_transform_curve_blocks_match_unblocked_mean(dim, size):
+    # row blocks carry each radius's running sum in pool order, so the curve
+    # is the unblocked mean bit for bit, a lone last row included
+    n_probes = 32 if dim == 2 else 128
+    block = diagnostics._ECF_BLOCK_BYTES // (16 * n_probes)
+    rng = np.random.default_rng(dim)
+    pool = sl.SamplePool(dim=dim,
+                         samples=rng.exponential(size=(size(block), dim)))
+    curve = sl.transform_curve(pool)
+    assert np.array_equal(curve.modulus,
+                          _unblocked_modulus(pool, curve.probe_directions))
+
+
+def test_transform_curve_memory_does_not_grow_with_the_pool():
+    # an unblocked (K, P) complex array would take 200k * 32 * 16 B = 102 MB
+    rng = np.random.default_rng(0)
+    pool = sl.SamplePool(dim=2, samples=rng.exponential(size=(200_000, 2)))
+    tracemalloc.start()
+    try:
+        sl.transform_curve(pool)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 def test_transform_curve_rejects_negative_max_exp(small_pool_ex1):
     with pytest.raises(ValueError, match="max_exp"):
         sl.transform_curve(small_pool_ex1, max_exp=-1)
@@ -97,6 +142,34 @@ def test_decay_fit_half_slope():
     a_hat, (lo, hi) = sl.decay_fit(curve)
     assert lo <= 0.5 <= hi
     assert a_hat == pytest.approx(0.5, abs=0.05)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_decay_fit_matches_per_resample_loop(seed):
+    # one (500, n) draw and one multi-column lstsq against a draw and a fit
+    # per resample: the same draws, so only the solver's rounding may differ
+    radii = 2.0 ** np.arange(0, 15)
+    noise = np.random.default_rng(seed).normal(scale=0.2, size=radii.size)
+    curve = sl.TransformCurve(
+        radii=radii, probe_directions=np.eye(2),
+        modulus=np.minimum(0.8, 3.0 * radii**-0.7 * np.exp(noise)), stderr=0.0,
+    )
+    a_hat, (lo, hi) = sl.decay_fit(curve, seed=seed)
+
+    x, y = np.log(radii), np.log(curve.modulus)   # every radius is fitted
+    design = np.vstack([x, np.ones_like(x)]).T
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    rng = np.random.Generator(np.random.Philox(seed))  # as decay_fit seeds it
+    boots = np.empty(500)
+    for b in range(500):
+        yb = design @ coef + rng.choice(resid, size=resid.size, replace=True)
+        cb, *_ = np.linalg.lstsq(design, yb, rcond=None)
+        boots[b] = -cb[0]
+    ref_lo, ref_hi = np.quantile(boots, [0.025, 0.975])
+    assert a_hat == -coef[0]
+    np.testing.assert_allclose(
+        [lo, hi], [min(ref_lo, a_hat), max(ref_hi, a_hat)], rtol=1e-12, atol=0)
 
 
 def test_decay_fit_insufficient():
