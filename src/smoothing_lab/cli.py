@@ -80,25 +80,31 @@ def _load_model_arg(arg: str) -> tuple:
         raise ValueError(f"invalid model file {path}: {exc}") from exc
 
 
-def _write_json(path, payload) -> None:
-    """Strict JSON: a non-finite value raises before the file is opened."""
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+def _json_text(path, payload) -> tuple:
+    """(path, strict JSON text); a non-finite value raises ValueError."""
+    return path, json.dumps(payload, indent=2, sort_keys=True,
+                            allow_nan=False) + "\n"
 
 
-def _write_csv(path, header, rows) -> None:
-    """A non-finite number raises before the file is opened, as in JSON."""
+def _csv_text(path, header, rows) -> tuple:
+    """(path, CSV text); a non-finite number raises ValueError, as in JSON."""
     numbers = (int, float, np.floating)
+    lines = [",".join(header)]
     for row in rows:
         for x in row:
             if isinstance(x, numbers) and not np.isfinite(x):
                 raise ValueError(f"non-finite value {x!r} for {path}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) if isinstance(x, numbers)
-                              else str(x) for x in row) + "\n")
+        lines.append(",".join(_fmt(x) if isinstance(x, numbers)
+                              else str(x) for x in row))
+    return path, "\n".join(lines) + "\n"
+
+
+def _write_texts(texts) -> None:
+    """Write each (path, text) in order.  Every text is built, and so
+    checked, before the first file opens, so a run writes all or none."""
+    for path, text in texts:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
 
 
 def _appended(path, suffix: str) -> Path:
@@ -107,14 +113,15 @@ def _appended(path, suffix: str) -> Path:
     return path.with_name(path.name + suffix)
 
 
-def _write_manifest(args, model_path: str, outputs, **extra) -> None:
-    """<--out or --out-prefix>.manifest.json: every parsed argument, with the
-    command, model and seed under keys of their own, plus `extra`."""
+def _manifest(args, model_path: str, outputs, **extra) -> tuple:
+    """(path, text) of <--out or --out-prefix>.manifest.json: every parsed
+    argument, with the command, model and seed under keys of their own, plus
+    `extra`.  The manifest is written last, after every output."""
     given = vars(args)
     parameters = {k: v for k, v in given.items()
                   if k not in ("func", "command", "model", "seed")}
     path = _appended(given.get("out") or given["out_prefix"], ".manifest.json")
-    _write_json(path, {
+    return _json_text(path, {
         "command": args.command, "model_path": model_path,
         "seed": given.get("seed"), "parameters": {**parameters, **extra},
         "output_paths": [str(p) for p in outputs], "tool_version": __version__,
@@ -151,9 +158,10 @@ def cmd_simulate(args) -> int:
         spec, k=args.k, rounds=args.rounds, init=init, seed=args.seed,
         initial_pool=initial_pool,
     )
+    manifest = _manifest(args, model_path, [args.out],
+                         mean_norm_history=[float(h) for h in history])
     pool_to_csv(pool, args.out)
-    _write_manifest(args, model_path, [args.out],
-                    mean_norm_history=[float(h) for h in history])
+    _write_texts([manifest])
     return 0
 
 
@@ -174,17 +182,17 @@ def cmd_spectrum(args) -> int:
         kt = profile.kappa_tilde.get(float(s), "")
         rows.append([s, profile.kappa[i], profile.kappa_stderr[i],
                      profile.m[i], kt])
-    # the JSON is checked for non-finite values before the first file opens
-    csv_path = _appended(args.out_prefix, ".csv")
-    json_path = _appended(args.out_prefix, ".json")
-    _write_json(json_path, {
-        "gamma": profile.gamma,
-        "gamma_stderr": profile.gamma_stderr,
-        "alpha": profile.alpha,
-        "a0": profile.a0,
-    })
-    _write_csv(csv_path, ["s", "kappa", "stderr", "m", "kappa_tilde"], rows)
-    _write_manifest(args, model_path, [csv_path, json_path])
+    texts = [
+        _csv_text(_appended(args.out_prefix, ".csv"),
+                  ["s", "kappa", "stderr", "m", "kappa_tilde"], rows),
+        _json_text(_appended(args.out_prefix, ".json"), {
+            "gamma": profile.gamma,
+            "gamma_stderr": profile.gamma_stderr,
+            "alpha": profile.alpha,
+            "a0": profile.a0,
+        }),
+    ]
+    _write_texts(texts + [_manifest(args, model_path, [p for p, _ in texts])])
     return 0
 
 
@@ -220,8 +228,8 @@ def cmd_support(args) -> int:
             "word": list(witness.word),
             "certificate": witness.describe(),
         }
-    _write_json(args.out, payload)
-    _write_manifest(args, model_path, [args.out])
+    _write_texts([_json_text(args.out, payload),
+                  _manifest(args, model_path, [args.out])])
     return 0
 
 
@@ -231,8 +239,6 @@ def cmd_diagnose(args) -> int:
     if pool.dim != spec.dim:
         raise ValueError("pool dimension does not match the model")
 
-    # every output is computed before the first file is written, so a
-    # rejected argument or an overflowing estimate leaves no partial run
     curve = transform_curve(pool, max_exp=args.max_exp, n_probes=args.probes)
     try:
         a_hat, ci = decay_fit(curve, seed=args.seed)
@@ -277,14 +283,15 @@ def cmd_diagnose(args) -> int:
         }
     summary["harmonic_table"] = table
 
-    curve_path = _appended(args.out_prefix, "_ecf.csv")
-    _write_csv(curve_path, ["radius", "sup_modulus", "stderr"], curve_rows)
-    kc_path = _appended(args.out_prefix, "_killcounts.csv")
-    _write_csv(kc_path, [f"t{k}" for k in range(spec.dim)] + ["delta", "mean"],
-               kc_rows)
-    json_path = _appended(args.out_prefix, "_summary.json")
-    _write_json(json_path, summary)
-    _write_manifest(args, model_path, [curve_path, kc_path, json_path])
+    texts = [
+        _csv_text(_appended(args.out_prefix, "_ecf.csv"),
+                  ["radius", "sup_modulus", "stderr"], curve_rows),
+        _csv_text(_appended(args.out_prefix, "_killcounts.csv"),
+                  [f"t{k}" for k in range(spec.dim)] + ["delta", "mean"],
+                  kc_rows),
+        _json_text(_appended(args.out_prefix, "_summary.json"), summary),
+    ]
+    _write_texts(texts + [_manifest(args, model_path, [p for p, _ in texts])])
     return 0
 
 
@@ -327,12 +334,12 @@ def cmd_check(args) -> int:
         lines.append(f"{name:<{width}}  {verdict}  {detail}")
     print("\n".join(lines))
     if args.json:
-        _write_json(args.json, {
+        _write_texts([_json_text(args.json, {
             "model": model_path,
             "results": [
                 {"name": n, "holds": bool(ok), "detail": d} for n, ok, d in rows
             ],
-        })
+        })])
     return 0
 
 

@@ -1,6 +1,6 @@
 """Finite-atom models of the branch point process (N, A_1, ..., A_N).
 
-Three declaration styles are supported:
+A model is declared in one of three styles:
 
 * ``ExplicitAtoms``: the joint law is a finite list of (probability, branch)
   pairs, each branch a nonempty list of nonzero nonnegative matrices.
@@ -10,10 +10,14 @@ Three declaration styles are supported:
   positive scalar drawn from a finite law (the scalar is shared across the
   whole branch).
 
-Everything downstream (exact expectations, conditional laws, samplers) works
-through this module so that the finite-atom arithmetic stays in one place.
-Every sampler draws from, and gathers rows of, a compiled ``BranchTable``:
-one per model, built on first use, and one per single-matrix chain law.
+``ModelSpec`` reads the style once, at construction, and compiles it into one
+form: the law of N (``n_law``) and, for the explicit and scalar styles, the
+joint law as (probability, branch) atoms (``atoms``).  An i.i.d. model keeps
+``atoms = None`` and its single-matrix factors (``mu_atoms``).  Every derived
+law (exact expectations, conditional laws, samplers) reads that form, so the
+finite-atom arithmetic stays in this module.  Every sampler draws from, and
+gathers rows of, a compiled ``BranchTable``: one per model, built on first
+use, and one per single-matrix chain law.
 """
 from __future__ import annotations
 
@@ -32,7 +36,6 @@ from .matrices import check_nonneg_matrix
 KIND_EXPLICIT = "ExplicitAtoms"
 KIND_IID = "IIDCoefficients"
 KIND_SCALAR = "ScalarRandomized"
-_KINDS = (KIND_EXPLICIT, KIND_IID, KIND_SCALAR)
 
 _PROB_TOL = 1e-12
 _MATRIX_TOL = 1e-12
@@ -96,9 +99,6 @@ class BranchTable:
             a.flags.writeable = False
         return table
 
-    def branch(self, b: int) -> np.ndarray:
-        return self.mats[self.offsets[b]:self.offsets[b] + self.sizes[b]]
-
     def draw(self, rng, size=None):
         """Atom ids drawn i.i.d. from probs: the ids, and the uniforms
         consumed, of rng.choice(B, size, p=probs), bit for bit.
@@ -126,7 +126,14 @@ class BranchTable:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Validated finite-atom description of the branch law."""
+    """Validated finite-atom description of the branch law.
+
+    Construction checks the declared style and compiles it: every spec gets
+    n_law, one (n, prob) entry per explicit atom or the single (len(base),
+    1.0) of a scalar spec; explicit and scalar specs get atoms, a scalar
+    atom being (p, x * base) for each (p, x) of scalar_law.  An i.i.d. spec
+    keeps its declared n_law and mu_atoms, with atoms None.
+    """
 
     dim: int
     kind: str
@@ -139,31 +146,28 @@ class ModelSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
+        atoms = None
         if self.kind == KIND_EXPLICIT:
             if not self.atoms:
                 raise ValueError("ExplicitAtoms requires atoms")
-            checked = []
-            for prob, branch in self.atoms:
-                checked.append((float(prob), _check_branch(branch, self.dim, "atom")))
-            object.__setattr__(self, "atoms", tuple(checked))
-            _check_prob_list([p for p, _ in checked], "atoms")
+            atoms = tuple((float(prob), _check_branch(br, self.dim, "atom"))
+                          for prob, br in self.atoms)
+            _check_prob_list([p for p, _ in atoms], "atoms")
+            n_law = tuple((len(br), p) for p, br in atoms)
         elif self.kind == KIND_IID:
             if not self.n_law or not self.mu_atoms:
                 raise ValueError("IIDCoefficients requires n_law and mu_atoms")
-            nl = tuple((int(n), float(p)) for n, p in self.n_law)
-            if any(n < 1 for n, _ in nl):
+            n_law = tuple((int(n), float(p)) for n, p in self.n_law)
+            if any(n < 1 for n, _ in n_law):
                 raise ValueError("n_law values must be >= 1 (N = 0 is not allowed)")
-            _check_prob_list([p for _, p in nl], "n_law")
+            _check_prob_list([p for _, p in n_law], "n_law")
             mu = tuple(
                 (float(p), _check_branch([m], self.dim, "mu atom")[0])
                 for p, m in self.mu_atoms
             )
             _check_prob_list([p for p, _ in mu], "mu_atoms")
-            object.__setattr__(self, "n_law", nl)
             object.__setattr__(self, "mu_atoms", mu)
-        else:
+        elif self.kind == KIND_SCALAR:
             if not self.base_branch or not self.scalar_law:
                 raise ValueError("ScalarRandomized requires base_branch and scalar_law")
             base = _check_branch(self.base_branch, self.dim, "base branch")
@@ -173,6 +177,12 @@ class ModelSpec:
             _check_prob_list([p for p, _ in sl], "scalar_law")
             object.__setattr__(self, "base_branch", base)
             object.__setattr__(self, "scalar_law", sl)
+            atoms = tuple((p, tuple(x * m for m in base)) for p, x in sl)
+            n_law = ((len(base), 1.0),)
+        else:
+            raise ValueError(f"unknown kind {self.kind!r}")
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "n_law", n_law)
         en = expected_n(self)
         if not en > 1.0:
             raise ValueError(f"E[N] = {en} must exceed 1")
@@ -184,27 +194,18 @@ class ModelSpec:
 
 
 def expected_n(spec: ModelSpec) -> float:
-    if spec.kind == KIND_EXPLICIT:
-        return float(sum(p * len(br) for p, br in spec.atoms))
-    if spec.kind == KIND_IID:
-        return float(sum(p * n for n, p in spec.n_law))
-    return float(len(spec.base_branch))
+    return float(sum(p * n for n, p in spec.n_law))
 
 
 def explicit_atoms(spec: ModelSpec, max_atoms: int | None = None) -> list:
     """The joint branch law as a flat list of (probability, branch) pairs.
 
-    For IIDCoefficients this enumerates the product law per value of N, which
-    is exponential in N; the budget guard keeps desk-scale use honest.
+    For an i.i.d. model this enumerates the product law per value of N,
+    which is exponential in N; the budget guard keeps desk-scale use honest.
     """
     budget = resolve_budget(max_atoms, DEFAULT_ELEMENT_BUDGET)
-    if spec.kind == KIND_EXPLICIT:
+    if spec.atoms is not None:
         return [(p, list(br)) for p, br in spec.atoms]
-    if spec.kind == KIND_SCALAR:
-        return [
-            (p, [x * m for m in spec.base_branch])
-            for p, x in spec.scalar_law
-        ]
     total = sum(len(spec.mu_atoms) ** n for n, _ in spec.n_law)
     if total > budget:
         raise BudgetExceeded(
@@ -220,12 +221,8 @@ def explicit_atoms(spec: ModelSpec, max_atoms: int | None = None) -> list:
 
 def mean_sum_matrix(spec: ModelSpec) -> np.ndarray:
     """Exact E[A_1 + ... + A_N]."""
-    if spec.kind == KIND_IID:
-        mu = sum(p * m for p, m in spec.mu_atoms)
-        return expected_n(spec) * mu
-    if spec.kind == KIND_SCALAR:
-        ex = sum(p * x for p, x in spec.scalar_law)
-        return ex * sum(spec.base_branch)
+    if spec.atoms is None:
+        return expected_n(spec) * sum(p * m for p, m in spec.mu_atoms)
     out = np.zeros((spec.dim, spec.dim))
     for p, br in spec.atoms:
         out += p * sum(br)
@@ -237,14 +234,16 @@ def mu_mean(spec: ModelSpec) -> np.ndarray:
     return mean_sum_matrix(spec) / expected_n(spec)
 
 
+def same_matrix(stack, m) -> np.ndarray:
+    """Whether each matrix of stack (..., d, d) equals m: max|E - m| <=
+    _MATRIX_TOL * max|m|, a rule that does not depend on scale."""
+    return np.abs(stack - m).max(axis=(-2, -1)) <= _MATRIX_TOL * np.abs(m).max()
+
+
 def _find_matrix(pairs, m) -> int | None:
-    """Index of the first (weight, matrix) pair whose matrix equals m up to
-    _MATRIX_TOL relative to max|m|, so the match does not depend on scale."""
-    for i, (_, mi) in enumerate(pairs):
-        if (mi.shape == m.shape
-                and np.abs(mi - m).max() <= _MATRIX_TOL * np.abs(m).max()):
-            return i
-    return None
+    """Index of the first (weight, matrix) pair whose matrix is the same as m."""
+    return next((i for i, (_, mi) in enumerate(pairs) if same_matrix(mi, m)),
+                None)
 
 
 def _merge_weighted(pairs) -> list:
@@ -262,13 +261,10 @@ def _merge_weighted(pairs) -> list:
 def mu_atom_law(spec: ModelSpec) -> list:
     """Atoms of the size-biased single-matrix law: weight of m is
     E[#{i <= N : A_i = m}] / E[N]."""
-    if spec.kind == KIND_IID:
-        return [(p, m) for p, m in spec.mu_atoms]
+    if spec.atoms is None:
+        return list(spec.mu_atoms)
     en = expected_n(spec)
-    table = spec.branch_table
-    return _merge_weighted([(table.probs[b] / en, m)
-                            for b in range(table.probs.size)
-                            for m in table.branch(b)])
+    return _merge_weighted([(p / en, m) for p, br in spec.atoms for m in br])
 
 
 def mu_support(spec: ModelSpec) -> list:
@@ -278,13 +274,7 @@ def mu_support(spec: ModelSpec) -> list:
 
 def prob_n_equals(spec: ModelSpec, k: int) -> float:
     """Exact P[N = k]."""
-    if k < 1:
-        return 0.0
-    if spec.kind == KIND_IID:
-        return float(sum(p for n, p in spec.n_law if n == k))
-    if spec.kind == KIND_SCALAR:
-        return 1.0 if len(spec.base_branch) == k else 0.0
-    return float(sum(p for p, br in spec.atoms if len(br) == k))
+    return float(sum(p for n, p in spec.n_law if n == k))
 
 
 def conditioned_a1_atoms(spec: ModelSpec) -> list:
@@ -292,11 +282,10 @@ def conditioned_a1_atoms(spec: ModelSpec) -> list:
     p1 = prob_n_equals(spec, 1)
     if p1 <= 0:
         raise NoSingletonBranch("P[N = 1] = 0 for this model")
-    if spec.kind == KIND_IID:
-        return [(p, m) for p, m in spec.mu_atoms]
-    table = spec.branch_table
-    return _merge_weighted([(table.probs[b] / p1, table.mats[table.offsets[b]])
-                            for b in np.flatnonzero(table.sizes == 1)])
+    if spec.atoms is None:
+        return list(spec.mu_atoms)
+    return _merge_weighted([(p / p1, br[0]) for p, br in spec.atoms
+                            if len(br) == 1])
 
 
 def check_furstenberg_kesten(spec: ModelSpec) -> tuple:
@@ -305,11 +294,8 @@ def check_furstenberg_kesten(spec: ModelSpec) -> tuple:
     c is the smallest admissible constant over atoms; infinity when some
     realization has a zero entry.
     """
-    if spec.kind == KIND_IID:
-        firsts = [m for _, m in spec.mu_atoms]
-    else:
-        table = spec.branch_table
-        firsts = table.mats[table.offsets]
+    firsts = ([m for _, m in spec.mu_atoms] if spec.atoms is None
+              else [br[0] for _, br in spec.atoms])
     worst = 1.0
     for m in firsts:
         if np.any(m <= 0):
@@ -325,14 +311,13 @@ def check_iid_coefficients(spec: ModelSpec) -> bool:
     size-biased single-matrix law, and each conditional branch probability
     must factorize as the product of marginal masses.
     """
-    if spec.kind == KIND_IID:
+    if spec.atoms is None:
         return True
     mu = mu_atom_law(spec)
-    table = spec.branch_table
     by_n: dict = {}
-    for b, p in enumerate(table.probs):
-        by_n.setdefault(table.sizes[b], []).append((p, table.branch(b)))
-    for n, group in by_n.items():
+    for p, br in spec.atoms:
+        by_n.setdefault(len(br), []).append((p, br))
+    for group in by_n.values():
         pn = sum(p for p, _ in group)
         for p, br in group:
             found = [_find_matrix(mu, m) for m in br]

@@ -17,9 +17,8 @@ import numpy as np
 from ._common import DEFAULT_ELEMENT_BUDGET, charge_budget, resolve_budget
 from .errors import OutOfRange, WitnessNotFound
 from .matrices import pf_decompose, spectral_radius
-from .models import ModelSpec, mu_support
+from .models import ModelSpec, mu_support, same_matrix
 
-MATRIX_DEDUP_TOL = 1e-12
 DIRECTION_DEDUP_TOL = 1e-10
 _AFFINE_RANK_TOL = 1e-10      # smaller singular values do not count in a hull's rank
 _COLLINEAR_TOL = 1e-14        # a point this near its neighbours' line is no corner
@@ -46,25 +45,19 @@ class SemigroupEnumeration:
         return tuple((dirs[i], positive[i][0]) for i in _distinct(dirs))
 
 
-def enumerate_semigroup(spec_or_generators, max_length: int,
+def enumerate_semigroup(spec: ModelSpec, max_length: int,
                         max_elements: int | None = None) -> SemigroupEnumeration:
-    """Breadth-first products of the generators, deduplicated in max norm.
+    """Breadth-first products of the model's generators, the distinct
+    single-matrix atoms, deduplicated in max norm.
 
-    Accepts a model (generators are the distinct single-matrix atoms) or an
-    explicit list of matrices.  Words are recorded for the first
-    representative of each distinct matrix.  A product P is known when some
-    stored element E has max|E - P| <= MATRIX_DEDUP_TOL * max|P|, so the
-    result does not depend on the scale of the generators.
+    Words are recorded for the first representative of each distinct matrix.
+    A product is known when `models.same_matrix` matches it to a stored
+    element, so the result does not depend on the scale of the generators.
     """
     if max_length < 0:
         raise ValueError("max_length must be >= 0")
-    if isinstance(spec_or_generators, ModelSpec):
-        gens = mu_support(spec_or_generators)
-    else:
-        gens = [np.asarray(g, dtype=float) for g in spec_or_generators]
-    if not gens:
-        raise ValueError("no generators")
-    d = gens[0].shape[0]
+    gens = mu_support(spec)
+    d = spec.dim
     budget = resolve_budget(max_elements, DEFAULT_ELEMENT_BUDGET)
 
     words = [()]
@@ -77,8 +70,7 @@ def enumerate_semigroup(spec_or_generators, max_length: int,
             for gi, g in enumerate(gens):
                 prod = mat @ g
                 n = len(words)
-                gaps = np.abs(stack[:n] - prod).max(axis=(1, 2))
-                if np.any(gaps <= MATRIX_DEDUP_TOL * np.abs(prod).max()):
+                if same_matrix(stack[:n], prod).any():
                     continue
                 charge_budget(n + 1, budget, "semigroup enumeration")
                 if n == stack.shape[0]:

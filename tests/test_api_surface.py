@@ -73,28 +73,33 @@ def _caller_trees():
 
 
 def _references(node, enclosing=frozenset()):
-    """(name, names of the enclosing defs) of every bare name and attribute."""
+    """(name, whether it is an attribute, names of the enclosing defs) of
+    every bare name and attribute."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
         enclosing = enclosing | {node.name}
     name = _ref_name(node)
     if name is not None:
-        yield name, enclosing
+        yield name, isinstance(node, ast.Attribute), enclosing
     for child in ast.iter_child_nodes(node):
         yield from _references(child, enclosing)
 
 
 def referenced_definitions(definitions: dict) -> set:
     """The definitions that some caller file calls or names, matched by name;
-    a reference inside the definition itself does not count."""
+    a method counts only as an attribute (x.name), so a local variable of
+    the same name does not, and a reference inside the definition itself
+    does not count."""
     by_name: dict = {}
     for key in definitions:
         by_name.setdefault(key[1].rsplit(".", 1)[-1], []).append(key)
     used = set()
     for stem, tree in _caller_trees():
-        for name, enclosing in _references(tree):
+        for name, attribute, enclosing in _references(tree):
             for key in by_name.get(name, ()):
-                if not (key[0] == stem and name in enclosing):
-                    used.add(key)
+                if ("." in key[1] and not attribute
+                        or key[0] == stem and name in enclosing):
+                    continue
+                used.add(key)
     return used
 
 

@@ -358,7 +358,7 @@ def test_spectrum_vanishing_products_write_nothing(tmp_path, monkeypatch,
 def test_json_outputs_reject_non_finite_values(tmp_path):
     path = tmp_path / "x.json"
     with pytest.raises(ValueError):
-        cli._write_json(path, {"x": [1.0, float("inf")]})
+        cli._write_texts([cli._json_text(path, {"x": [1.0, float("inf")]})])
     assert not path.exists()
 
 
@@ -379,8 +379,42 @@ def test_spectrum_out_of_range_kappa_writes_nothing(tmp_path, monkeypatch,
 def test_csv_outputs_reject_non_finite_values(tmp_path, bad):
     path = tmp_path / "x.csv"
     with pytest.raises(ValueError, match="non-finite"):
-        cli._write_csv(path, ["a", "b"], [[1.0, ""], [2.0, bad]])
+        cli._write_texts([cli._csv_text(path, ["a", "b"],
+                                        [[1.0, ""], [2.0, bad]])])
     assert not path.exists()
+
+
+def test_spectrum_non_finite_kappa_writes_nothing(tmp_path, monkeypatch,
+                                                 capsys):
+    # the CSV is checked before the JSON is written: a nan that got past
+    # the estimators leaves no JSON behind
+    real = cli.spectral_profile
+
+    def nan_kappa(*args, **kwargs):
+        profile = real(*args, **kwargs)
+        profile.kappa[0] = float("nan")
+        return profile
+
+    monkeypatch.setattr(cli, "spectral_profile", nan_kappa)
+    monkeypatch.chdir(tmp_path)
+    assert main(["spectrum", "--model", "ex1", "--seed", "1", "--out-prefix",
+                 "P", "--s-grid", "0.5", "--chain-n", "8", "--trials", "200",
+                 "--lyap-n", "20", "--lyap-trials", "50"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_diagnose_non_finite_summary_writes_nothing(tmp_path, monkeypatch,
+                                                    capsys):
+    # the summary JSON is checked before the two CSVs are written
+    monkeypatch.setattr(cli, "decay_fit",
+                        lambda *args, **kwargs: (float("nan"), (0.5, 1.5)))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.csv").write_text(POOL_FILES["good.csv"])
+    assert main(["diagnose", "--model", "ex1", "--pool", "p.csv", "--seed",
+                 "1", "--out-prefix", "D"]) == 2
+    assert "not JSON compliant" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
 
 
 def test_require_alpha_exit_code(tmp_path):

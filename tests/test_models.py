@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,12 +62,16 @@ def test_mu_atom_law(ex3):
     assert weights == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
+def table_branch(table, b):
+    return table.mats[table.offsets[b]:table.offsets[b] + table.sizes[b]]
+
+
 def drawn_branch(spec, seed):
     table = spec.branch_table
-    return table.branch(table.draw(as_generator(seed)))
+    return table_branch(table, table.draw(as_generator(seed)))
 
 
-def test_sample_branch_shapes(ex1, ex2, ex3):
+def test_drawn_branch_shapes(ex1, ex2, ex3):
     b1 = drawn_branch(ex1, 1)
     assert len(b1) == 2
     for m in b1:
@@ -87,7 +93,7 @@ def test_sample_branch_shapes(ex1, ex2, ex3):
         assert np.allclose(b3[1], A2)
 
 
-def test_sample_branch_draw_stream(ex3):
+def test_drawn_branch_stream(ex3):
     # one rng.choice over the atoms per draw: the atoms drawn for seeds 0-9
     # are fixed, whatever the layout of the compiled branch table
     drawn = [0, 0, 2, 0, 1, 2, 2, 1, 1, 1]
@@ -103,7 +109,7 @@ def test_branch_frequencies_match_probabilities(ex3):
     trials = 100_000
     ids = table.draw(np.random.default_rng(99), trials)
     single = table.sizes[ids] == 1
-    is_a1 = np.array([np.allclose(table.branch(b)[0], A1)
+    is_a1 = np.array([np.allclose(table_branch(table, b)[0], A1)
                       for b in range(table.probs.size)])
     # four standard errors of a fair coin over 1e5 draws
     se = 4 * 0.5 / np.sqrt(trials)
@@ -241,3 +247,74 @@ def test_mu_law_merge_is_scale_invariant(ex3, scale):
     near = sl.ModelSpec(dim=2, kind="ExplicitAtoms", atoms=(
         (1.0, (scale * A1, scale * A1 * (1 + 1e-9))),))
     assert len(sl.mu_atom_law(near)) == 2
+
+
+STYLE_FIELDS = {"kind", "base_branch", "scalar_law"}
+
+
+def style_reads(node, where=""):
+    """The qualified name of the def around each read of a declaration-style
+    field (x.kind, x.base_branch, x.scalar_law) or a KIND_* constant."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        where = f"{where}.{node.name}" if where else node.name
+    if isinstance(getattr(node, "ctx", None), ast.Load) and (
+            isinstance(node, ast.Attribute) and node.attr in STYLE_FIELDS
+            or isinstance(node, ast.Name) and node.id.startswith("KIND_")):
+        yield where
+    for child in ast.iter_child_nodes(node):
+        yield from style_reads(child, where)
+
+
+def test_declaration_style_is_read_only_at_construction():
+    # every derived law reads the compiled form: the style is read only where
+    # a model file is parsed and where ModelSpec compiles it
+    readers = {(path.stem, where)
+               for path in sorted(Path(sl.__file__).parent.glob("*.py"))
+               for where in style_reads(ast.parse(path.read_text("utf-8")))}
+    assert readers == {("models", "ModelSpec.__post_init__"),
+                       ("models", "model_from_dict")}, sorted(readers)
+
+
+def explicit_twin(spec):
+    return sl.ModelSpec(dim=spec.dim, kind="ExplicitAtoms", atoms=tuple(
+        (p, tuple(br)) for p, br in sl.explicit_atoms(spec)))
+
+
+def three_point_scalar():
+    return sl.ModelSpec(dim=2, kind="ScalarRandomized", base_branch=(A1, A2),
+                        scalar_law=((0.1, 0.5), (0.2, 1.0), (0.7, 1.5)))
+
+
+@pytest.mark.parametrize("make", [lambda: sl.example_model("ex2"),
+                                  three_point_scalar], ids=["ex2", "p127"])
+def test_scalar_spec_matches_its_explicit_atoms(make):
+    # a scalar spec compiles to atoms, so it and the explicit spec of the
+    # same atoms give bit-identical derived laws
+    scalar = make()
+    twin = explicit_twin(scalar)
+    assert sl.expected_n(scalar) == float(len(scalar.base_branch))
+    assert sl.expected_n(scalar) == sl.expected_n(twin)
+    for k in range(5):
+        assert sl.prob_n_equals(scalar, k) == sl.prob_n_equals(twin, k)
+    assert np.array_equal(sl.mean_sum_matrix(scalar), sl.mean_sum_matrix(twin))
+    assert np.array_equal(sl.mu_mean(scalar), sl.mu_mean(twin))
+    law, twin_law = sl.mu_atom_law(scalar), sl.mu_atom_law(twin)
+    assert [w for w, _ in law] == [w for w, _ in twin_law]
+    assert all(np.array_equal(m, t) for (_, m), (_, t) in zip(law, twin_law))
+    assert sl.check_furstenberg_kesten(scalar) == sl.check_furstenberg_kesten(twin)
+    assert sl.check_iid_coefficients(scalar) == sl.check_iid_coefficients(twin)
+    for spec in (scalar, twin):
+        with pytest.raises(NoSingletonBranch):
+            sl.conditioned_a1_atoms(spec)
+    for name in ("probs", "mats", "sizes", "offsets", "sums", "cdf"):
+        assert np.array_equal(getattr(scalar.branch_table, name),
+                              getattr(twin.branch_table, name))
+
+
+def test_compiled_form(ex1, ex2, ex3):
+    assert ex1.atoms is None and ex1.n_law == ((2, 1.0),)
+    assert ex2.n_law == ((3, 1.0),)
+    assert [(p, len(br)) for p, br in ex2.atoms] == [(0.5, 3), (0.5, 3)]
+    assert all(np.array_equal(m, x * b) for (p, br), x in
+               zip(ex2.atoms, (0.25, 0.75)) for m, b in zip(br, ex2.base_branch))
+    assert ex3.n_law == tuple((len(br), p) for p, br in ex3.atoms)

@@ -20,6 +20,15 @@ from conftest import A1, A2
 # ---------------------------------------------------------------------------
 
 
+def iid_spec(gens):
+    """The i.i.d. model with N = 2 and a uniform single-matrix law over gens,
+    whose semigroup generators are gens in order."""
+    gens = [np.asarray(g, dtype=float) for g in gens]
+    return sl.ModelSpec(dim=gens[0].shape[0], kind="IIDCoefficients",
+                        n_law=((2, 1.0),),
+                        mu_atoms=tuple((1 / len(gens), g) for g in gens))
+
+
 def test_enumerate_depth_zero(ex1):
     enum = sl.enumerate_semigroup(ex1, 0)
     assert len(enum.elements) == 1
@@ -66,7 +75,7 @@ def test_enumerate_closure_bookkeeping(ex2):
 def test_enumerate_scale_invariant(ex1, scale):
     # the semigroup is projective: scaling the generators keeps every word
     gens = [scale * g for g in sl.mu_support(ex1)]
-    enum = sl.enumerate_semigroup(gens, 4)
+    enum = sl.enumerate_semigroup(iid_spec(gens), 4)
     assert len(enum.elements) == 21
     assert enum.words == sl.enumerate_semigroup(ex1, 4).words
 
@@ -76,22 +85,22 @@ def test_enumerate_budget():
     g1 = rng.uniform(0.1, 1.0, (2, 2))
     g2 = rng.uniform(0.1, 1.0, (2, 2))
     with pytest.raises(BudgetExceeded):
-        sl.enumerate_semigroup([g1, g2], 20, max_elements=100)
+        sl.enumerate_semigroup(iid_spec([g1, g2]), 20, max_elements=100)
 
 
 def test_allowability(ex1):
     assert sl.check_allowability(sl.enumerate_semigroup(ex1, 3))
-    assert sl.check_allowability(sl.enumerate_semigroup([np.eye(2)], 4))
+    assert sl.check_allowability(sl.enumerate_semigroup(iid_spec([np.eye(2)]), 4))
     nil = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert not sl.check_allowability(sl.enumerate_semigroup([nil], 2))
+    assert not sl.check_allowability(sl.enumerate_semigroup(iid_spec([nil]), 2))
 
 
 def test_positivity(ex1):
     assert sl.check_positivity(sl.enumerate_semigroup(ex1, 1))
-    assert not sl.check_positivity(sl.enumerate_semigroup([np.eye(2)], 5))
+    assert not sl.check_positivity(sl.enumerate_semigroup(iid_spec([np.eye(2)]), 5))
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
     ones = np.ones((2, 2))
-    assert sl.check_positivity(sl.enumerate_semigroup([flip, ones], 1))
+    assert sl.check_positivity(sl.enumerate_semigroup(iid_spec([flip, ones]), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +127,7 @@ def test_lambda_set_ex2(ex2):
 
 
 def test_lambda_set_identity_empty():
-    assert sl.lambda_set(sl.enumerate_semigroup([np.eye(2)], 4)) == []
+    assert sl.lambda_set(sl.enumerate_semigroup(iid_spec([np.eye(2)]), 4)) == []
 
 
 def test_lambda_set_grows_monotonically(ex2):
