@@ -25,7 +25,6 @@ from .diagnostics import (
     transform_curve,
 )
 from .matrices import (
-    PFDecomposition,
     as_direction,
     birkhoff_bound,
     contraction_coefficient,

@@ -39,14 +39,20 @@ def spawn_generators(seed, n: int) -> list:
     return [np.random.Generator(np.random.Philox(c)) for c in seed.spawn(n)]
 
 
-def resolve_budget(explicit, default):
-    """Budget precedence: explicit argument, then environment, then default."""
-    if explicit is not None:
-        return int(explicit)
+def resolve_budget(default: int) -> int:
+    """SMOOTHING_LAB_BUDGET when set, else `default`; a value that is not
+    an integer of at least 1 raises ValueError."""
     env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
-        return int(env)
-    return int(default)
+    if not env:
+        return default
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer of at least 1, "
+                         f"got {env!r}")
+    return budget
 
 
 def charge_budget(count: int, budget: int, what: str) -> None:

@@ -80,7 +80,7 @@ def heavy_tail_pool(spec: ModelSpec, k: int, tail_index: float,
     if not 0 < tail_index:
         raise ValueError("tail_index must be positive")
     rng = as_generator(seed)
-    direction = pf_decompose(mean_sum_matrix(spec)).right
+    direction = pf_decompose(mean_sum_matrix(spec))
     w = rng.uniform(size=k) ** (-1.0 / tail_index)
     return SamplePool(dim=spec.dim, samples=w[:, None] * direction[None, :])
 
@@ -121,7 +121,7 @@ def run_fixed_point(spec: ModelSpec, k: int, rounds: int, init=None, seed=0,
         pool = initial_pool
     else:
         if init is None:
-            init = pf_decompose(mean_sum_matrix(spec)).right
+            init = pf_decompose(mean_sum_matrix(spec))
         pool = constant_pool(init, k)
     history = [_mean_norm(pool)]
     streams = spawn_generators(seed, rounds)
@@ -193,8 +193,8 @@ def _fold(table: BranchTable, ids: np.ndarray, starts: np.ndarray,
     return out
 
 
-def martingale_samples(spec: ModelSpec, depth: int, trials: int, seed,
-                       node_budget: int | None = None) -> np.ndarray:
+def martingale_samples(spec: ModelSpec, depth: int, trials: int,
+                       seed) -> np.ndarray:
     """trials independent draws of sum over depth-n nodes of G_u v.
 
     v is the unit-L1 Perron eigenvector of the mean sum matrix; the sum is
@@ -212,8 +212,8 @@ def martingale_samples(spec: ModelSpec, depth: int, trials: int, seed,
         raise ValueError(
             f"tree martingale needs a critical mean (E[N] kappa(1) = {m1!r})"
         )
-    budget = resolve_budget(node_budget, DEFAULT_NODE_BUDGET)
-    v = pf_decompose(mean_sum_matrix(spec)).right
+    budget = resolve_budget(DEFAULT_NODE_BUDGET)
+    v = pf_decompose(mean_sum_matrix(spec))
     if depth == 0:
         return np.tile(v, (trials, 1))
     table = spec.branch_table
@@ -234,8 +234,7 @@ def martingale_samples(spec: ModelSpec, depth: int, trials: int, seed,
     return out
 
 
-def survival_counts(spec: ModelSpec, probes, depth: int, seed,
-                    node_budget: int | None = None) -> np.ndarray:
+def survival_counts(spec: ModelSpec, probes, depth: int, seed) -> np.ndarray:
     """Counts of depth-l nodes with G_u^T t != 0, per level and probe.
 
     Returns an integer array of shape (depth + 1, n_probes) for one simulated
@@ -244,7 +243,7 @@ def survival_counts(spec: ModelSpec, probes, depth: int, seed,
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     if not probes.any(axis=1).all():
         raise ValueError("probe directions must be nonzero")
-    budget = resolve_budget(node_budget, DEFAULT_NODE_BUDGET)
+    budget = resolve_budget(DEFAULT_NODE_BUDGET)
     rng = as_generator(seed)
     table = spec.branch_table
     levels = _grow_forest(table, depth, 1, rng, budget)

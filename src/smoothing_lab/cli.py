@@ -38,7 +38,6 @@ from .errors import (
     BudgetExceeded,
     EmptyTail,
     InsufficientDecay,
-    NoConvergence,
     SmoothingLabError,
 )
 from .models import (
@@ -175,8 +174,6 @@ def cmd_spectrum(args) -> int:
         lyap_n=args.lyap_n, lyap_trials=args.lyap_trials,
         grid_size=args.grid_size, seed=args.seed,
     )
-    if args.require_alpha and profile.alpha is None:
-        raise NoConvergence("no moment-root found and --require-alpha is set")
     rows = []
     for i, s in enumerate(profile.s_grid):
         kt = profile.kappa_tilde.get(float(s), "")
@@ -217,10 +214,10 @@ def cmd_support(args) -> int:
             raise ValueError("no strictly positive semigroup element at this "
                              "depth, so there is no cone to test")
         pool = pool_from_csv(args.pool)
-        frac, gaps = empirical_support_check(pool, hull, tol=args.tol)
+        frac, gaps = empirical_support_check(pool, hull)
         payload["inside_fraction"] = frac
         payload["coverage_gaps"] = gaps.tolist()
-    res = search_radius_witnesses(spec, depth_budget=args.depth_budget)
+    res = search_radius_witnesses(spec)
     for side, witness in (("l1", res.small), ("l2", res.large)):
         payload[side] = None if witness is None else {
             "matrix": witness.matrix.tolist(),
@@ -299,7 +296,7 @@ def cmd_check(args) -> int:
     spec, model_path = _load_model_arg(args.model)
     enum = enumerate_semigroup(spec, args.length)
     fk_holds, fk_c = check_furstenberg_kesten(spec)
-    res = search_radius_witnesses(spec, depth_budget=args.depth_budget)
+    res = search_radius_witnesses(spec)
     probes = sphere_grid(spec.dim, args.grid)
     stats = kill_counts(spec, probes, np.array([0.0]))
     means0 = stats.means[:, 0]
@@ -364,12 +361,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="pool CSV path")
-    p.add_argument("--init", default=None,
-                   help="comma-separated initial vector (default: Perron "
-                        "eigenvector of the mean sum matrix)")
-    p.add_argument("--init-tail-index", type=float, default=None,
-                   help="start from a Pareto pool with this tail index "
-                        "(for models whose mean matrix is subcritical)")
+    start = p.add_mutually_exclusive_group()
+    start.add_argument("--init", default=None,
+                       help="comma-separated initial vector (default: Perron "
+                            "eigenvector of the mean sum matrix)")
+    start.add_argument("--init-tail-index", type=float, default=None,
+                       help="start from a Pareto pool with this tail index "
+                            "(for models whose mean matrix is subcritical)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("spectrum", help="spectral curves and exponents")
@@ -382,15 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lyap-n", type=int, default=1000)
     p.add_argument("--lyap-trials", type=int, default=10_000)
     p.add_argument("--grid-size", type=int, default=512)
-    p.add_argument("--require-alpha", action="store_true")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("support", help="semigroup directions, cones, witnesses")
     p.add_argument("--model", required=True)
     p.add_argument("--length", type=int, default=3, help="max product length")
-    p.add_argument("--depth-budget", type=int, default=3)
     p.add_argument("--pool", default=None, help="pool CSV to test against the cone")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", required=True, help="JSON output path")
     p.set_defaults(func=cmd_support)
 
@@ -408,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run the model-condition checkers")
     p.add_argument("--model", required=True)
     p.add_argument("--length", type=int, default=3)
-    p.add_argument("--depth-budget", type=int, default=3)
     p.add_argument("--grid", type=int, default=128)
     p.add_argument("--json", default=None, help="also write verdicts as JSON")
     p.set_defaults(func=cmd_check)

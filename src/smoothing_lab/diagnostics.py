@@ -130,12 +130,10 @@ class KillCountStats:
     """Exact laws of the per-branch survival counts over probe and threshold
     grids.
 
-    counts[i][j] maps a count value to its probability for probe t_grid[i]
-    and threshold delta_grid[j]; means is the matching expectation table.
+    counts[i][j] maps a count value to its probability for probe i and
+    threshold j; means is the matching expectation table.
     """
 
-    t_grid: np.ndarray
-    delta_grid: np.ndarray
     counts: list
     means: np.ndarray
 
@@ -179,8 +177,7 @@ def kill_counts(spec: ModelSpec, t_grid, delta_grid) -> KillCountStats:
                 law[c] = law.get(c, 0.0) + p
         counts.append(laws)
         means[i] = [sum(k * q for k, q in law.items()) for law in laws]
-    return KillCountStats(t_grid=t_grid, delta_grid=delta_grid,
-                          counts=counts, means=means)
+    return KillCountStats(counts=counts, means=means)
 
 
 # ---------------------------------------------------------------------------

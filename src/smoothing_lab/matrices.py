@@ -2,13 +2,12 @@
 
 Conventions: vectors carry the L1 norm |x| = sum |x_i|, matrices the induced
 operator norm (maximum column sum).  Directions are nonnegative vectors with
-unit L1 norm.  The projective distance below is the bounded form of the
-Hilbert metric, d = tanh(h/4); positive matrices contract it with the
-Birkhoff coefficient tanh(diameter/4).
+unit L1 norm; the Perron direction of a primitive matrix is its unit-L1 right
+eigenvector for the spectral radius.  The projective distance below is the
+bounded form of the Hilbert metric, d = tanh(h/4); positive matrices contract
+it with the Birkhoff coefficient tanh(diameter/4).
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,20 +75,6 @@ def is_primitive(a) -> bool:
     return primitivity_index(a) is not None
 
 
-@dataclass(frozen=True)
-class PFDecomposition:
-    """a = radius * (right x left) + remainder with r(remainder) < radius.
-
-    right is the unit-L1 positive right eigenvector, left the positive left
-    eigenvector scaled so <left, right> = 1.
-    """
-
-    radius: float
-    right: np.ndarray
-    left: np.ndarray
-    remainder: np.ndarray
-
-
 def _power_direction(a: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     d = a.shape[0]
     v = np.full(d, 1.0 / d)
@@ -105,11 +90,11 @@ def _power_direction(a: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     raise NoConvergence(f"power iteration did not settle within {max_iter} iterations")
 
 
-def pf_decompose(a) -> PFDecomposition:
-    """Perron-Frobenius decomposition of a primitive nonnegative matrix.
+def pf_decompose(a) -> np.ndarray:
+    """Perron direction of a primitive nonnegative matrix: its unit-L1
+    right eigenvector for the spectral radius.
 
-    Deterministic: power iteration from the uniform direction for the right
-    and left eigenvectors, Rayleigh quotient for the radius.
+    Deterministic: power iteration from the uniform direction.
 
     Raises NotPrimitive when no power of a up to the Wielandt bound is
     strictly positive (identity, permutations, the zero matrix).
@@ -117,12 +102,7 @@ def pf_decompose(a) -> PFDecomposition:
     a = check_nonneg_matrix(a)
     if not is_primitive(a):
         raise NotPrimitive("no power of the matrix is strictly positive")
-    v = _power_direction(a, _PF_TOL, _PF_MAX_ITER)
-    u = _power_direction(a.T, _PF_TOL, _PF_MAX_ITER)
-    u = u / float(u @ v)
-    r = float(u @ a @ v)
-    q = a - r * np.outer(v, u)
-    return PFDecomposition(radius=r, right=v, left=u, remainder=q)
+    return _power_direction(a, _PF_TOL, _PF_MAX_ITER)
 
 
 def hennion_distance(x, y) -> float:

@@ -197,13 +197,13 @@ def expected_n(spec: ModelSpec) -> float:
     return float(sum(p * n for n, p in spec.n_law))
 
 
-def explicit_atoms(spec: ModelSpec, max_atoms: int | None = None) -> list:
+def explicit_atoms(spec: ModelSpec) -> list:
     """The joint branch law as a flat list of (probability, branch) pairs.
 
     For an i.i.d. model this enumerates the product law per value of N,
     which is exponential in N; the budget guard keeps desk-scale use honest.
     """
-    budget = resolve_budget(max_atoms, DEFAULT_ELEMENT_BUDGET)
+    budget = resolve_budget(DEFAULT_ELEMENT_BUDGET)
     if spec.atoms is not None:
         return [(p, list(br)) for p, br in spec.atoms]
     total = sum(len(spec.mu_atoms) ** n for n, _ in spec.n_law)

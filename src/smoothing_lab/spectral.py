@@ -391,7 +391,6 @@ class SpectralProfile:
     kappa: np.ndarray
     kappa_stderr: np.ndarray
     m: np.ndarray
-    m_stderr: np.ndarray
     gamma: float
     gamma_stderr: float
     alpha: float | None
@@ -426,7 +425,7 @@ def spectral_profile(spec: ModelSpec, s_grid=None, *, chain_n: int = 64,
         a0 = critical_exponent(spec, grid_size=grid_size)
     return SpectralProfile(
         s_grid=s_grid, kappa=kap, kappa_stderr=kse,
-        m=en * kap, m_stderr=en * kse,
+        m=en * kap,
         gamma=gamma, gamma_stderr=gse, alpha=alpha,
         kappa_tilde=kt, a0=a0,
     )

@@ -29,7 +29,6 @@ _RADIUS_MARGIN = 1e-9
 class SemigroupEnumeration:
     """Products of the single-matrix generators up to a word length."""
 
-    generators: tuple            # distinct matrices charged by the law
     max_length: int
     words: tuple                 # tuple of index tuples, () = identity
     elements: tuple              # matrices, words[i] multiplies to elements[i]
@@ -39,14 +38,13 @@ class SemigroupEnumeration:
         """(direction, word) pairs of lambda_set, computed once."""
         positive = [(w, m) for w, m in zip(self.words, self.elements)
                     if np.all(m > 0)]
-        dirs = [pf_decompose(m).right for _, m in positive]
+        dirs = [pf_decompose(m) for _, m in positive]
         for v in dirs:
             v.flags.writeable = False     # shared by every caller
         return tuple((dirs[i], positive[i][0]) for i in _distinct(dirs))
 
 
-def enumerate_semigroup(spec: ModelSpec, max_length: int,
-                        max_elements: int | None = None) -> SemigroupEnumeration:
+def enumerate_semigroup(spec: ModelSpec, max_length: int) -> SemigroupEnumeration:
     """Breadth-first products of the model's generators, the distinct
     single-matrix atoms, deduplicated in max norm.
 
@@ -58,7 +56,7 @@ def enumerate_semigroup(spec: ModelSpec, max_length: int,
         raise ValueError("max_length must be >= 0")
     gens = mu_support(spec)
     d = spec.dim
-    budget = resolve_budget(max_elements, DEFAULT_ELEMENT_BUDGET)
+    budget = resolve_budget(DEFAULT_ELEMENT_BUDGET)
 
     words = [()]
     frontier = [((), np.eye(d))]
@@ -81,10 +79,8 @@ def enumerate_semigroup(spec: ModelSpec, max_length: int,
         frontier = new_frontier
         if not frontier:
             break
-    return SemigroupEnumeration(
-        generators=tuple(gens), max_length=max_length,
-        words=tuple(words), elements=tuple(stack[:len(words)]),
-    )
+    return SemigroupEnumeration(max_length=max_length, words=tuple(words),
+                                elements=tuple(stack[:len(words)]))
 
 
 def check_allowability(enum: SemigroupEnumeration) -> bool:
@@ -290,11 +286,10 @@ class RadiusWitness:
 class RadiusSearchResult:
     small: RadiusWitness | None
     large: RadiusWitness | None
-    depth: int
 
 
-def search_radius_witnesses(spec: ModelSpec, depth_budget: int = 3,
-                            max_elements: int | None = None) -> RadiusSearchResult:
+def search_radius_witnesses(spec: ModelSpec,
+                            depth_budget: int = 3) -> RadiusSearchResult:
     """Bounded search for strictly positive products of branch-sum
     realizations with spectral radius on either side of 1.
 
@@ -304,7 +299,7 @@ def search_radius_witnesses(spec: ModelSpec, depth_budget: int = 3,
     """
     if depth_budget < 1:
         raise ValueError("depth_budget must be >= 1")
-    budget = resolve_budget(max_elements, DEFAULT_ELEMENT_BUDGET)
+    budget = resolve_budget(DEFAULT_ELEMENT_BUDGET)
     sums = spec.branch_table.sums
 
     small = large = None
@@ -321,7 +316,7 @@ def search_radius_witnesses(spec: ModelSpec, depth_budget: int = 3,
 
     frontier = [((), np.eye(spec.dim))]
     seen = 0
-    for depth in range(1, depth_budget + 1):
+    for _ in range(depth_budget):
         new_frontier = []
         for word, mat in frontier:
             for bi, y in enumerate(sums):
@@ -331,17 +326,16 @@ def search_radius_witnesses(spec: ModelSpec, depth_budget: int = 3,
                 entry = (word + (bi,), prod)
                 consider(*entry)
                 if small is not None and large is not None:
-                    return RadiusSearchResult(small=small, large=large, depth=depth)
+                    return RadiusSearchResult(small=small, large=large)
                 new_frontier.append(entry)
         frontier = new_frontier
-    return RadiusSearchResult(small=small, large=large, depth=depth_budget)
+    return RadiusSearchResult(small=small, large=large)
 
 
-def find_l1_l2(spec: ModelSpec, depth_budget: int = 3,
-               max_elements: int | None = None):
+def find_l1_l2(spec: ModelSpec, depth_budget: int = 3):
     """(small, large) radius witnesses; WitnessNotFound when either side is
     missing within the budget."""
-    res = search_radius_witnesses(spec, depth_budget, max_elements)
+    res = search_radius_witnesses(spec, depth_budget)
     if res.small is None or res.large is None:
         missing = []
         if res.small is None:

@@ -1,38 +1,59 @@
-"""Every public library function, and each of its optional parameters, has a
-caller outside the unit tests.
+"""Every public library function, each of its optional parameters, every
+dataclass field and every CLI flag has a reader outside the unit tests.
 
 A caller is code in the package itself, the acceptance gate or the benchmark
 harness.  A function or parameter that only unit tests reach is surface that
 nothing exercises: the function goes, and the parameter becomes a module
-constant.
+constant.  A field that no caller reads is work done for nobody, and a flag
+that no README example, acceptance item or benchmark workload passes is a
+setting nothing exercises.
 """
+import argparse
 import ast
+import re
 from pathlib import Path
+
+from smoothing_lab.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "smoothing_lab"
 CALLER_FILES = (sorted((ROOT / "src").rglob("*.py"))
                 + [ROOT / "tests" / "test_acceptance.py"]
                 + sorted((ROOT / "perfbench").rglob("*.py")))
+FLAG_FILES = (ROOT / "README.md", ROOT / "tests" / "test_acceptance.py",
+              ROOT / "perfbench" / "workloads.py")
 
 # optional parameters kept although no caller passes them
 UNPASSED_PARAMETERS = {
-    ("models", "explicit_atoms", "max_atoms"):
-        "per-call override of the SMOOTHING_LAB_BUDGET element budget",
-    ("cascade", "survival_counts", "node_budget"):
-        "per-call override of the SMOOTHING_LAB_BUDGET node budget",
-    ("cascade", "martingale_samples", "node_budget"):
-        "per-call override of the SMOOTHING_LAB_BUDGET node budget",
-    ("support", "enumerate_semigroup", "max_elements"):
-        "per-call override of the SMOOTHING_LAB_BUDGET element budget",
-    ("support", "find_l1_l2", "max_elements"):
-        "per-call override of the SMOOTHING_LAB_BUDGET element budget",
     ("cli", "main", "argv"):
         "None reads sys.argv; the benchmark passes a list through a local name",
     ("spectral", "find_alpha", "n"):
         "the benchmark's chain-step probe reads it from the bound signature",
     ("spectral", "find_alpha", "trials"):
         "the benchmark's chain-step probe reads it from the bound signature",
+}
+
+# dataclass fields kept although no caller reads them
+UNREAD_FIELDS = {
+    ("spectral", "TransferDiscretization", "s"):
+        "ROADMAP item 1 replaces this layout with a gather form",
+    ("spectral", "TransferDiscretization", "eigenfunction"):
+        "ROADMAP item 1 replaces this layout with a gather form",
+    ("support", "ConeHull", "directions"):
+        "the hull's deduplicated input, which the LP reference tests use",
+}
+
+# CLI flags kept although no README example, acceptance item or benchmark
+# workload passes them: per-run sizes and grids, whose defaults suit the
+# bundled models
+UNPASSED_FLAGS = {
+    "--init": "initial vector of a pool run",
+    "--s-grid": "orders of the spectral curves",
+    "--chain-n": "chain length of the spectral curves",
+    "--lyap-n": "chain length of the Lyapunov estimate",
+    "--max-exp": "largest dyadic radius of the transform curve",
+    "--harmonic-b": "orders of the harmonic moments",
+    "--grid": "probe count of the survival-count check",
 }
 
 def _ref_name(node):
@@ -154,3 +175,54 @@ def test_every_optional_parameter_is_passed():
     never = optional - passed_parameters(functions)
     assert never == set(UNPASSED_PARAMETERS), sorted(
         never ^ set(UNPASSED_PARAMETERS))
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(_ref_name(d.func if isinstance(d, ast.Call) else d)
+               == "dataclass" for d in node.decorator_list)
+
+
+def dataclass_fields() -> set:
+    """(module, class, field) of every field of a top-level dataclass."""
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                out |= {(path.stem, node.name, item.target.id)
+                        for item in node.body
+                        if isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)}
+    return out
+
+
+def read_attributes() -> set:
+    """Names read as an attribute (x.name) somewhere in a caller file."""
+    return {node.attr for _, tree in _caller_trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_is_read():
+    # fields are matched by name, as functions are above
+    read = read_attributes()
+    unread = {key for key in dataclass_fields() if key[2] not in read}
+    assert unread == set(UNREAD_FIELDS), sorted(unread ^ set(UNREAD_FIELDS))
+
+
+def cli_flags() -> set:
+    """Every option string of every subcommand, help aside."""
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return {flag for parser in sub.choices.values()
+            for action in parser._actions for flag in action.option_strings
+            if not isinstance(action, argparse._HelpAction)}
+
+
+def test_every_cli_flag_is_passed():
+    passed = set()
+    for path in FLAG_FILES:
+        passed |= set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*",
+                                 path.read_text(encoding="utf-8")))
+    never = cli_flags() - passed
+    assert never == set(UNPASSED_FLAGS), sorted(never ^ set(UNPASSED_FLAGS))

@@ -152,7 +152,7 @@ def test_martingale_matches_reference_loop(name, request):
     if name == "ex3":
         spec = sl.ModelSpec(dim=2, kind="ExplicitAtoms", atoms=tuple(
             (p, tuple(m * 4 / 3 for m in br)) for p, br in spec.atoms))
-    v = sl.pf_decompose(sl.mean_sum_matrix(spec)).right
+    v = sl.pf_decompose(sl.mean_sum_matrix(spec))
     for depth in (1, 2, 5):
         W = sl.martingale_samples(spec, depth, trials=40, seed=depth)
         (rng,) = spawn_generators(depth, 1)
@@ -182,16 +182,19 @@ def test_martingale_requires_critical_mean(ex3):
         sl.martingale_samples(ex3, depth=3, trials=2, seed=0)
 
 
-def test_martingale_node_budget(ex1):
+def test_martingale_node_budget(ex1, monkeypatch):
+    monkeypatch.setenv("SMOOTHING_LAB_BUDGET", "100")
     with pytest.raises(SupercriticalBlowup):
-        sl.martingale_samples(ex1, depth=12, trials=2, seed=0, node_budget=100)
+        sl.martingale_samples(ex1, depth=12, trials=2, seed=0)
 
 
-def test_martingale_node_budget_counts_leaves(ex1):
+def test_martingale_node_budget_counts_leaves(ex1, monkeypatch):
     # depth 3 has 1 + 2 + 4 + 8 = 15 nodes; the leaf level is never built
+    monkeypatch.setenv("SMOOTHING_LAB_BUDGET", "14")
     with pytest.raises(SupercriticalBlowup):
-        sl.martingale_samples(ex1, depth=3, trials=1, seed=0, node_budget=14)
-    w = sl.martingale_samples(ex1, depth=3, trials=1, seed=0, node_budget=15)
+        sl.martingale_samples(ex1, depth=3, trials=1, seed=0)
+    monkeypatch.setenv("SMOOTHING_LAB_BUDGET", "15")
+    w = sl.martingale_samples(ex1, depth=3, trials=1, seed=0)
     assert w.shape == (1, 2)
 
 

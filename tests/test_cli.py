@@ -1,5 +1,9 @@
+import csv
 import hashlib
+import io
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +227,17 @@ def test_budget_exit_code(tmp_path, monkeypatch):
     assert rc == 4
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-5"])
+def test_bad_budget_exit_code(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("SMOOTHING_LAB_BUDGET", value)
+    rc = main(["support", "--model", "ex2", "--length", "6",
+               "--out", str(tmp_path / "s.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SMOOTHING_LAB_BUDGET") and repr(value) in err
+    assert not any(tmp_path.iterdir())
+
+
 POOL_FILES = {"bad.csv": "x0,x1\n1,2,3\n", "neg.csv": "x0,x1\n1,-2\n",
               "good.csv": "z0,z1\n0.4,0.6\n0.2,0.3\n",
               "nan.csv": "z0,z1\n0.4,0.6\nnan,0.3\n",
@@ -261,10 +276,6 @@ MODEL_FILES = {
       "--chain-n", "0"], "chain length"),
     (["support", "--model", "ex1", "--length", "-1", "--out", "s.json"],
      "max_length"),
-    (["support", "--model", "ex1", "--pool", "good.csv", "--out", "s.json",
-      "--tol", "nan"], "tol"),
-    (["support", "--model", "ex1", "--pool", "good.csv", "--out", "s.json",
-      "--tol", "-1"], "tol"),
     (["spectrum", "--model", "ex1", "--seed", "1", "--out-prefix", "s",
       "--trials", "0"], "trials"),
     (["spectrum", "--model", "ex1", "--seed", "1", "--out-prefix", "s",
@@ -288,6 +299,9 @@ MODEL_FILES = {
      "non-finite"),
     (["diagnose", "--model", "ex1", "--pool", "good.csv", "--seed", "1",
       "--out-prefix", "d", "--harmonic-b", "nan"], "finite and positive"),
+    (["simulate", "--model", "ex1", "--k", "10", "--rounds", "1", "--seed",
+      "1", "--out", "p.csv", "--init", "1,1", "--init-tail-index", "0.5"],
+     "not allowed with argument --init"),
     (["spectrum", "--model", "ex3", "--seed", "1", "--out-prefix", "s",
       "--chain-n", "8", "--trials", "100", "--lyap-n", "10",
       "--lyap-trials", "100", "--grid-size", "1"], "grid_size"),
@@ -298,11 +312,11 @@ MODEL_FILES = {
 ], ids=["diagnose-missing", "diagnose-malformed", "diagnose-negative",
         "support-missing", "support-malformed", "support-negative",
         "simulate-k0", "simulate-tail-index", "spectrum-chain-n",
-        "support-length", "support-tol-nan", "support-tol-negative",
-        "spectrum-trials", "spectrum-lyap-trials", "diagnose-probes",
-        "diagnose-nan", "diagnose-inf", "support-nan", "support-inf",
-        "diagnose-max-exp", "simulate-init-nan", "spectrum-s-grid-nan",
-        "diagnose-harmonic-b-nan", "spectrum-grid-size-1", "model-dim-str",
+        "support-length", "spectrum-trials", "spectrum-lyap-trials",
+        "diagnose-probes", "diagnose-nan", "diagnose-inf", "support-nan",
+        "support-inf", "diagnose-max-exp", "simulate-init-nan",
+        "spectrum-s-grid-nan", "diagnose-harmonic-b-nan",
+        "simulate-init-and-tail-index", "spectrum-grid-size-1", "model-dim-str",
         "model-dim-missing", "model-list", "model-atom-lists"])
 def test_bad_input_exit_code(tmp_path, monkeypatch, capsys, argv, says):
     monkeypatch.chdir(tmp_path)
@@ -310,10 +324,17 @@ def test_bad_input_exit_code(tmp_path, monkeypatch, capsys, argv, says):
         (tmp_path / name).write_text(text)
     for name, data in MODEL_FILES.items():
         (tmp_path / name).write_text(json.dumps(data))
-    assert main(argv) == 2
+    try:
+        assert main(argv) == 2
+        prefix = "error: "
+    except SystemExit as exc:   # argparse rejects the command line itself
+        assert exc.code == 2
+        prefix = "usage: "
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith(prefix) and "Traceback" not in err
     assert says in err and "zero-size" not in err
+    assert {p.name for p in tmp_path.iterdir()} == set(POOL_FILES) | set(
+        MODEL_FILES)
 
 
 @pytest.mark.parametrize("order, code", [("nan", 2), ("-1", 2), ("5000", 3)])
@@ -417,24 +438,6 @@ def test_diagnose_non_finite_summary_writes_nothing(tmp_path, monkeypatch,
     assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
 
 
-def test_require_alpha_exit_code(tmp_path):
-    # doubled generators: the moment curve stays above one on (0, 1]
-    from conftest import A1, A2
-
-    model = {"dim": 2, "kind": "IIDCoefficients",
-             "n_law": [{"n": 2, "prob": 1.0}],
-             "mu_atoms": [{"prob": 0.5, "matrix": (2 * m).tolist()}
-                          for m in (A1, A2)]}
-    path = tmp_path / "noalpha.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model, fh)
-    rc = main(["spectrum", "--model", str(path), "--seed", "2",
-               "--out-prefix", str(tmp_path / "na"), "--s-grid", "0.5",
-               "--chain-n", "10", "--trials", "500", "--lyap-n", "50",
-               "--lyap-trials", "200", "--require-alpha"])
-    assert rc == 3
-
-
 def test_support_dotted_outputs_keep_their_manifests(tmp_path):
     for out in ("run.s0.5", "run.s0.7"):
         assert main(["support", "--model", "ex1", "--length", "2",
@@ -476,23 +479,55 @@ def test_manifest_records_every_argument(tmp_path, monkeypatch, command):
     assert manifest["command"] == command
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def _check_new_files(directory, before) -> set:
+    """Parse every file written since `before` strictly: JSON must hold no
+    NaN or Infinity, every non-empty CSV cell below the header must be a
+    finite float, and every path a manifest lists must exist."""
+    new = set(directory.iterdir()) - before
+    assert new
+    for path in new:
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".json":
+            payload = json.loads(text, parse_constant=_reject_constant)
+            if path.name.endswith(".manifest.json"):
+                outputs = payload["output_paths"]
+                assert outputs and all(Path(p).exists() for p in outputs)
+        else:
+            assert path.suffix == ".csv"
+            for row in list(csv.reader(io.StringIO(text)))[1:]:
+                assert all(math.isfinite(float(x)) for x in row if x), row
+    return before | new
+
+
 def test_every_subcommand_runs_on_every_example(tmp_path):
     # small parameters throughout; each bundled model must exit 0 everywhere
+    # and write only strict JSON and finite CSV
+    files = set()
     for name in ("ex1", "ex2", "ex3"):
         pool_path = tmp_path / f"{name}.csv"
         assert main(["simulate", "--model", name, "--k", "4000", "--rounds",
                      "20", "--seed", "41", "--out", str(pool_path)]) == 0
+        files = _check_new_files(tmp_path, files)
         assert main(["spectrum", "--model", name, "--seed", "42",
                      "--out-prefix", str(tmp_path / f"{name}_spec"),
                      "--s-grid", "0.5,1.0", "--chain-n", "10",
                      "--trials", "500", "--lyap-n", "50",
                      "--lyap-trials", "200", "--grid-size", "32"]) == 0
+        files = _check_new_files(tmp_path, files)
         assert main(["support", "--model", name, "--length", "2",
                      "--pool", str(pool_path),
                      "--out", str(tmp_path / f"{name}_sup.json")]) == 0
+        files = _check_new_files(tmp_path, files)
         assert main(["diagnose", "--model", name, "--pool", str(pool_path),
                      "--seed", "43",
                      "--out-prefix", str(tmp_path / f"{name}_diag"),
                      "--probes", "16", "--max-exp", "8"]) == 0
+        files = _check_new_files(tmp_path, files)
         assert main(["check", "--model", name, "--length", "2",
-                     "--grid", "16"]) == 0
+                     "--grid", "16",
+                     "--json", str(tmp_path / f"{name}_check.json")]) == 0
+        files = _check_new_files(tmp_path, files)

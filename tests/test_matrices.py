@@ -84,22 +84,13 @@ def test_radius_monotonicity_sample():
 
 
 # ---------------------------------------------------------------------------
-# Perron-Frobenius decomposition
+# Perron direction
 # ---------------------------------------------------------------------------
 
 
 def test_pf_decompose_rank_one_atoms():
-    d1 = sl.pf_decompose(A1)
-    assert d1.radius == pytest.approx(0.4, abs=1e-12)
-    assert d1.right == pytest.approx([0.5, 0.5], abs=1e-12)
-    assert d1.left == pytest.approx([1.0, 1.0], abs=1e-12)
-    assert np.abs(d1.remainder).max() < 1e-12
-
-    d2 = sl.pf_decompose(A2)
-    assert d2.radius == pytest.approx(0.6, abs=1e-12)
-    assert d2.right == pytest.approx([1 / 3, 2 / 3], abs=1e-12)
-    assert d2.left == pytest.approx([1.0, 1.0], abs=1e-12)
-    assert np.abs(d2.remainder).max() < 1e-12
+    assert sl.pf_decompose(A1) == pytest.approx([0.5, 0.5], abs=1e-12)
+    assert sl.pf_decompose(A2) == pytest.approx([1 / 3, 2 / 3], abs=1e-12)
 
 
 def test_pf_decompose_identity_not_primitive():
@@ -116,15 +107,10 @@ def test_pf_decompose_roundtrip_random():
     for _ in range(25):
         d = int(rng.integers(2, 6))
         a = random_nonneg(rng, d) + 0.02
-        dec = sl.pf_decompose(a)
-        r, v, u, q = dec.radius, dec.right, dec.left, dec.remainder
+        v = sl.pf_decompose(a)
         assert v.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(v > 0) and np.all(u > 0)
-        assert u @ v == pytest.approx(1.0, abs=1e-12)
-        assert a @ v == pytest.approx(r * v, abs=1e-10)
-        assert a.T @ u == pytest.approx(r * u, abs=1e-9)
-        assert np.abs(r * np.outer(v, u) + q - a).max() < 1e-10
-        assert np.abs(np.linalg.eigvals(q)).max() < r
+        assert np.all(v > 0)
+        assert a @ v == pytest.approx(sl.spectral_radius(a) * v, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

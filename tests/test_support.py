@@ -80,12 +80,13 @@ def test_enumerate_scale_invariant(ex1, scale):
     assert enum.words == sl.enumerate_semigroup(ex1, 4).words
 
 
-def test_enumerate_budget():
+def test_enumerate_budget(monkeypatch):
     rng = np.random.default_rng(3)
     g1 = rng.uniform(0.1, 1.0, (2, 2))
     g2 = rng.uniform(0.1, 1.0, (2, 2))
+    monkeypatch.setenv("SMOOTHING_LAB_BUDGET", "100")
     with pytest.raises(BudgetExceeded):
-        sl.enumerate_semigroup(iid_spec([g1, g2]), 20, max_elements=100)
+        sl.enumerate_semigroup(iid_spec([g1, g2]), 20)
 
 
 def test_allowability(ex1):
