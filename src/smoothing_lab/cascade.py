@@ -6,8 +6,9 @@ with replacement from the previous pool.  The tree sampler grows the
 weighted branching tree explicitly and is unbiased at finite depth for
 models whose mean matrix has unit spectral radius.  Both draw from the
 model's branch table and sum its row gather over each parent's edges (one
-edge fold); a tree is kept as its atom draws per level, and the martingale
-folds the leaf level into the branch sums Y_b.
+edge fold).  A forest is kept as narrow atom ids and tree offsets per
+level, and the martingale folds it leaves-up a block of whole trees at a
+time, so its memory is bounded by _BLOCK_BYTES, not by the tree chunk.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .matrices import pf_decompose, spectral_radius
 from .models import BranchTable, ModelSpec, expected_n, mean_sum_matrix, mu_mean
 
 _TREE_CHUNK = 512
-_ALIVE_BLOCK = 4096
+_BLOCK_BYTES = 1 << 19        # float64 bytes per tree-draw, fold or alive block
 _CSV_BLOCK = 4096             # pool rows formatted per write
 # |A^T t| counts as zero up to ZERO_TOL |t|, here and in kill_counts
 ZERO_TOL = 1e-12
@@ -147,27 +148,41 @@ def _mean_norm(pool: SamplePool) -> float:
 
 
 def _grow_forest(table: BranchTable, depth: int, n_trees: int, rng,
-                 node_budget: int) -> list:
-    """Atom draws of a forest grown to `depth`, one array per level below it.
+                 node_budget: int) -> tuple:
+    """(levels, offsets) of a forest grown to `depth`: per level below it,
+    the narrow atom ids of its nodes and the n_trees + 1 offsets of its trees.
 
-    Children follow their parents' order and then the branch order, so the
-    leaf level is counted against the budget but never built.
+    Children follow their parents' order and then the branch order, so tree
+    t's nodes at level l are levels[l][offsets[l][t]:offsets[l][t + 1]].  A
+    level is drawn, and its child counts summed, _BLOCK_BYTES // 8 nodes at
+    a time; the leaf level is counted against the budget but never built.
     """
-    tree = np.arange(n_trees)
-    nodes_per_tree = np.ones(n_trees)
-    levels = []
-    for lvl in range(depth):
-        atom = table.draw(rng, tree.size)
-        counts = table.sizes[atom]
-        nodes_per_tree += np.bincount(tree, weights=counts, minlength=n_trees)
+    step = _BLOCK_BYTES // 8
+    off = np.arange(n_trees + 1)
+    nodes_per_tree = np.ones(n_trees, dtype=np.int64)
+    levels, offsets = [], []
+    for _ in range(depth):
+        atom = np.empty(off[-1], dtype=np.min_scalar_type(table.sizes.size - 1))
+        below = np.empty_like(off)      # children before each tree's first node
+        t = total = 0
+        for start in range(0, atom.size, step):
+            block = atom[start:start + step]
+            block[:] = table.draw(rng, block.size)
+            counts = table.sizes[block]
+            ends = total + np.cumsum(counts)
+            stop = np.searchsorted(off, start + block.size)
+            below[t:stop] = (ends - counts)[off[t:stop] - start]
+            t, total = stop, ends[-1]
+        below[t:] = total
+        nodes_per_tree += np.diff(below)
         if nodes_per_tree.max(initial=0) > node_budget:
             raise SupercriticalBlowup(
                 f"tree grew past {node_budget} nodes before reaching depth {depth}"
             )
         levels.append(atom)
-        if lvl + 1 < depth:
-            tree = np.repeat(tree, counts)
-    return levels
+        offsets.append(off)
+        off = below
+    return levels, offsets
 
 
 def _edges(table: BranchTable, atom: np.ndarray):
@@ -203,7 +218,8 @@ def martingale_samples(spec: ModelSpec, depth: int, trials: int,
 
     The leaf level is never built: a depth-(n-1) node that draws atom b
     contributes Y_b v, with Y_b its branch sum.  Each level above is folded
-    into its parents by the same edge gather as the pool round.
+    into its parents by the same edge gather as the pool round, a block of
+    whole trees at a time, so each parent sums its edges as a whole fold.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -218,18 +234,23 @@ def martingale_samples(spec: ModelSpec, depth: int, trials: int,
         return np.tile(v, (trials, 1))
     table = spec.branch_table
     leaf_sums = (table.sums @ v).T.copy()         # column b is Y_b v
+    step = _BLOCK_BYTES // 8
     out = np.empty((trials, spec.dim))
     n_chunks = (trials + _TREE_CHUNK - 1) // _TREE_CHUNK
     streams = spawn_generators(seed, n_chunks)
     done = 0
     for rng in streams:
         chunk = min(_TREE_CHUNK, trials - done)
-        levels = _grow_forest(table, depth, chunk, rng, budget)
-        vecs = leaf_sums[:, levels.pop()]  # (d, nodes), one row per coordinate
-        while levels:
-            ids, starts = _edges(table, levels.pop())
-            vecs = _fold(table, ids, starts, vecs)
-        out[done:done + chunk] = vecs.T
+        levels, offsets = _grow_forest(table, depth, chunk, rng, budget)
+        ends, t0 = offsets[-1], 0
+        while t0 < chunk:  # whole trees: at most step deepest nodes, or one
+            t1 = max(t0 + 1, ends.searchsorted(ends[t0] + step, "right") - 1)
+            vecs = leaf_sums[:, levels[-1][ends[t0]:ends[t1]]]  # (d, nodes)
+            for atom, off in zip(levels[-2::-1], offsets[-2::-1]):
+                ids, starts = _edges(table, atom[off[t0]:off[t1]])
+                vecs = _fold(table, ids, starts, vecs)
+            out[done + t0:done + t1] = vecs.T
+            t0 = t1
         done += chunk
     return out
 
@@ -239,6 +260,7 @@ def survival_counts(spec: ModelSpec, probes, depth: int, seed) -> np.ndarray:
 
     Returns an integer array of shape (depth + 1, n_probes) for one simulated
     tree; G_u^T t is declared nonzero when its L1 norm exceeds ZERO_TOL |t|.
+    A level's carriers are held whole; their alive test is taken in blocks.
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     if not probes.any(axis=1).all():
@@ -246,7 +268,7 @@ def survival_counts(spec: ModelSpec, probes, depth: int, seed) -> np.ndarray:
     budget = resolve_budget(DEFAULT_NODE_BUDGET)
     rng = as_generator(seed)
     table = spec.branch_table
-    levels = _grow_forest(table, depth, 1, rng, budget)
+    levels, _ = _grow_forest(table, depth, 1, rng, budget)
     mats_t = table.mats.transpose(0, 2, 1)
 
     thresholds = ZERO_TOL * np.abs(probes).sum(axis=1)
@@ -263,11 +285,12 @@ def survival_counts(spec: ModelSpec, probes, depth: int, seed) -> np.ndarray:
 
 def _alive_counts(carriers, probes, thresholds) -> np.ndarray:
     """Per probe t, how many carriers C have |C t|_1 > threshold, taken in
-    row blocks so that the (nodes, d, probes) product is never held whole."""
+    blocks of about _BLOCK_BYTES of the (nodes, d, probes) product."""
     n, d, _ = carriers.shape
     alive = np.zeros(probes.shape[0], dtype=np.int64)
-    for start in range(0, n, _ALIVE_BLOCK):
-        rows = carriers[start:start + _ALIVE_BLOCK].reshape(-1, d)
+    step = max(1, _BLOCK_BYTES // (8 * d * probes.shape[0]))
+    for start in range(0, n, step):
+        rows = carriers[start:start + step].reshape(-1, d)
         block = np.abs(rows @ probes.T).reshape(-1, d, probes.shape[0])
         alive += (block.sum(axis=1) > thresholds).sum(axis=0)
     return alive

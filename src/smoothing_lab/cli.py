@@ -7,7 +7,8 @@ hash identically) plus JSON summaries.  File names append to the --out or
 writes <--out or --out-prefix>.manifest.json, which records every parsed
 argument and so reproduces the run byte for byte.
 
-Exit codes: 0 success, 2 input error, 3 computation error, 4 budget error.
+Exit codes: 0 success, 2 input error, 3 computation error, 4 budget error;
+main returns them, argparse's own 2 and --help's 0 included.
 """
 from __future__ import annotations
 
@@ -410,8 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # a line argparse rejects, or --help
+        return exc.code
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,14 +145,20 @@ def reference_forest(spec, depth, trials, rng):
     return levels
 
 
+def critical_model(name, request):
+    """The named example; ex3, whose E[N] kappa(1) is 3/4, with its matrices
+    scaled by 4/3, so that it has a tree martingale.  ex3 mixes branch
+    sizes, so a gather must follow each atom's offset."""
+    spec = request.getfixturevalue(name)
+    if name != "ex3":
+        return spec
+    return sl.ModelSpec(dim=2, kind="ExplicitAtoms", atoms=tuple(
+        (p, tuple(m * 4 / 3 for m in br)) for p, br in spec.atoms))
+
+
 @pytest.mark.parametrize("name", ["ex1", "ex3"])
 def test_martingale_matches_reference_loop(name, request):
-    # ex3 mixes branch sizes, so the gather must follow each atom's offset;
-    # its E[N] kappa(1) is 3/4, so its matrices are scaled by 4/3
-    spec = request.getfixturevalue(name)
-    if name == "ex3":
-        spec = sl.ModelSpec(dim=2, kind="ExplicitAtoms", atoms=tuple(
-            (p, tuple(m * 4 / 3 for m in br)) for p, br in spec.atoms))
+    spec = critical_model(name, request)
     v = sl.pf_decompose(sl.mean_sum_matrix(spec))
     for depth in (1, 2, 5):
         W = sl.martingale_samples(spec, depth, trials=40, seed=depth)
@@ -175,6 +182,80 @@ def test_survival_counts_match_reference_loop(name, depth, request):
             gt = np.array([g.T for _, g in level])
             norms = np.abs(gt @ probes.T).sum(axis=1)
             assert np.array_equal(row, (norms > thresholds).sum(axis=0))
+
+
+def whole_chunk_martingale(spec, depth, trials, seed):
+    """The martingale with each chunk's levels folded whole, leaves up: the
+    reference the blocked fold must match bit for bit."""
+    table = spec.branch_table
+    leaf_sums = (table.sums @ sl.pf_decompose(sl.mean_sum_matrix(spec))).T
+    size = cascade._TREE_CHUNK
+    out = []
+    for rng in spawn_generators(seed, -(-trials // size)):
+        chunk = min(size, trials - len(out) * size)
+        levels, _ = cascade._grow_forest(table, depth, chunk, rng, 10**7)
+        vecs = leaf_sums[:, levels.pop()]
+        while levels:
+            ids, starts = cascade._edges(table, levels.pop())
+            vecs = cascade._fold(table, ids, starts, vecs)
+        out.append(vecs.T)
+    return np.concatenate(out)
+
+
+# _BLOCK_BYTES // 8 nodes per draw and fold block: 8 is one node per draw
+# and one tree per fold; an ex1 tree has 2048 nodes at depth 11, so 8 * 3000
+# folds one tree at a time with draws that straddle trees, 8 * 3 * 2048 ends
+# each block on a tree boundary and 8 * 50_000 folds 24 trees at a time
+@pytest.mark.parametrize("name, depth, trials, blocks", [
+    ("ex1", 12, 600, (8 * 3000, 8 * 3 * 2048, 8 * 50_000)),
+    ("ex2", 6, 40, (8, 8 * 7)),
+    ("ex3", 8, 40, (8, 8 * 7)),
+])
+def test_martingale_blocks_match_whole_chunk_fold(name, depth, trials, blocks,
+                                                  request, monkeypatch):
+    # 600 trials cross the 512-tree chunk
+    spec = critical_model(name, request)
+    W = sl.martingale_samples(spec, depth, trials, seed=depth)
+    assert np.array_equal(W, whole_chunk_martingale(spec, depth, trials, depth))
+    for block in blocks:
+        monkeypatch.setattr(cascade, "_BLOCK_BYTES", block)
+        assert np.array_equal(
+            sl.martingale_samples(spec, depth, trials, seed=depth), W)
+
+
+@pytest.mark.parametrize("name, depth, blocks", [
+    ("ex1", 12, (8, 8 * 1001, 1 << 40)),
+    ("ex2", 10, (8 * 5003,)),
+    ("ex2", 7, (8,)),
+    ("ex3", 10, (8, 8 * 7, 1 << 40)),
+])
+def test_survival_counts_blocks_match_default(name, depth, blocks, request,
+                                              monkeypatch):
+    # 8 draws one node and tests one carrier at a time; 1 << 40 draws each
+    # level and tests its carriers in one block
+    spec = critical_model(name, request)
+    probes = sl.sphere_grid(2, 128)
+    counts = sl.survival_counts(spec, probes, depth, seed=depth)
+    for block in blocks:
+        monkeypatch.setattr(cascade, "_BLOCK_BYTES", block)
+        assert np.array_equal(
+            sl.survival_counts(spec, probes, depth, seed=depth), counts)
+
+
+def test_tree_memory_is_bounded_by_the_block(ex1, ex2):
+    # a whole-chunk fold holds a 512-tree chunk's deepest ex1 level (1M nodes)
+    # and its edge rows, 56 MiB; alive tests of 4096 carriers took 28 MiB
+    peaks = []
+    tracemalloc.start()
+    try:
+        sl.martingale_samples(ex1, 12, 512, seed=1)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        sl.survival_counts(ex2, sl.sphere_grid(2, 128), 10, seed=1)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 16 * 2**20, peaks
 
 
 def test_martingale_requires_critical_mean(ex3):

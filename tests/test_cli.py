@@ -309,6 +309,8 @@ MODEL_FILES = {
     (["check", "--model", "dim-missing.json"], "dim must be an integer"),
     (["check", "--model", "list.json"], "JSON object"),
     (["check", "--model", "atom-lists.json"], "malformed"),
+    (["simulate", "--model", "ex1", "--k", "x", "--rounds", "1", "--seed",
+      "1", "--out", "p.csv"], "invalid int value"),
 ], ids=["diagnose-missing", "diagnose-malformed", "diagnose-negative",
         "support-missing", "support-malformed", "support-negative",
         "simulate-k0", "simulate-tail-index", "spectrum-chain-n",
@@ -317,24 +319,30 @@ MODEL_FILES = {
         "support-inf", "diagnose-max-exp", "simulate-init-nan",
         "spectrum-s-grid-nan", "diagnose-harmonic-b-nan",
         "simulate-init-and-tail-index", "spectrum-grid-size-1", "model-dim-str",
-        "model-dim-missing", "model-list", "model-atom-lists"])
+        "model-dim-missing", "model-list", "model-atom-lists",
+        "simulate-k-not-int"])
 def test_bad_input_exit_code(tmp_path, monkeypatch, capsys, argv, says):
     monkeypatch.chdir(tmp_path)
     for name, text in POOL_FILES.items():
         (tmp_path / name).write_text(text)
     for name, data in MODEL_FILES.items():
         (tmp_path / name).write_text(json.dumps(data))
-    try:
-        assert main(argv) == 2
-        prefix = "error: "
-    except SystemExit as exc:   # argparse rejects the command line itself
-        assert exc.code == 2
-        prefix = "usage: "
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(prefix) and "Traceback" not in err
+    # argparse rejects a malformed command line itself: its usage line, then
+    # "<prog>: error: <message>"
+    assert err.startswith("error: ") or (err.startswith("usage: ")
+                                         and ": error: " in err)
+    assert "Traceback" not in err
     assert says in err and "zero-size" not in err
     assert {p.name for p in tmp_path.iterdir()} == set(POOL_FILES) | set(
         MODEL_FILES)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: ")
 
 
 @pytest.mark.parametrize("order, code", [("nan", 2), ("-1", 2), ("5000", 3)])
