@@ -1,4 +1,4 @@
-"""Seeding and budget plumbing.
+"""Seeding, budget, block-size and output-file plumbing.
 
 All sampling entry points accept either an integer seed or a ready
 ``numpy.random.Generator``.  Integers are fed to the counter-based Philox
@@ -8,6 +8,8 @@ spawning children from one ``SeedSequence``.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -16,6 +18,9 @@ from .errors import BudgetExceeded
 BUDGET_ENV_VAR = "SMOOTHING_LAB_BUDGET"
 DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_ELEMENT_BUDGET = 200_000
+# bytes of the largest temporary of a blocked loop: tree draws and folds,
+# alive tests, ECF row blocks and chain trial blocks; read at call time
+BLOCK_BYTES = 1 << 19
 
 
 def as_generator(seed) -> np.random.Generator:
@@ -58,3 +63,19 @@ def resolve_budget(default: int) -> int:
 def charge_budget(count: int, budget: int, what: str) -> None:
     if count > budget:
         raise BudgetExceeded(f"{what}: {count} exceeds budget {budget}")
+
+
+@contextmanager
+def open_replacing(path):
+    """A text file for writing `path`: written under a temporary name in the
+    same directory and renamed into place when the block ends, or removed
+    if it raises, so no partial file is ever left at `path`."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -8,7 +8,7 @@ models whose mean matrix has unit spectral radius.  Both draw from the
 model's branch table and sum its row gather over each parent's edges (one
 edge fold).  A forest is kept as narrow atom ids and tree offsets per
 level, and the martingale folds it leaves-up a block of whole trees at a
-time, so its memory is bounded by _BLOCK_BYTES, not by the tree chunk.
+time, so its memory is bounded by BLOCK_BYTES, not by the tree chunk.
 """
 from __future__ import annotations
 
@@ -17,9 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _common
 from ._common import (
     DEFAULT_NODE_BUDGET,
     as_generator,
+    open_replacing,
     resolve_budget,
     spawn_generators,
 )
@@ -28,7 +30,6 @@ from .matrices import pf_decompose, spectral_radius
 from .models import BranchTable, ModelSpec, expected_n, mean_sum_matrix, mu_mean
 
 _TREE_CHUNK = 512
-_BLOCK_BYTES = 1 << 19        # float64 bytes per tree-draw, fold or alive block
 _CSV_BLOCK = 4096             # pool rows formatted per write
 # |A^T t| counts as zero up to ZERO_TOL |t|, here and in kill_counts
 ZERO_TOL = 1e-12
@@ -154,10 +155,10 @@ def _grow_forest(table: BranchTable, depth: int, n_trees: int, rng,
 
     Children follow their parents' order and then the branch order, so tree
     t's nodes at level l are levels[l][offsets[l][t]:offsets[l][t + 1]].  A
-    level is drawn, and its child counts summed, _BLOCK_BYTES // 8 nodes at
+    level is drawn, and its child counts summed, BLOCK_BYTES // 8 nodes at
     a time; the leaf level is counted against the budget but never built.
     """
-    step = _BLOCK_BYTES // 8
+    step = _common.BLOCK_BYTES // 8
     off = np.arange(n_trees + 1)
     nodes_per_tree = np.ones(n_trees, dtype=np.int64)
     levels, offsets = [], []
@@ -234,7 +235,7 @@ def martingale_samples(spec: ModelSpec, depth: int, trials: int,
         return np.tile(v, (trials, 1))
     table = spec.branch_table
     leaf_sums = (table.sums @ v).T.copy()         # column b is Y_b v
-    step = _BLOCK_BYTES // 8
+    step = _common.BLOCK_BYTES // 8
     out = np.empty((trials, spec.dim))
     n_chunks = (trials + _TREE_CHUNK - 1) // _TREE_CHUNK
     streams = spawn_generators(seed, n_chunks)
@@ -285,10 +286,10 @@ def survival_counts(spec: ModelSpec, probes, depth: int, seed) -> np.ndarray:
 
 def _alive_counts(carriers, probes, thresholds) -> np.ndarray:
     """Per probe t, how many carriers C have |C t|_1 > threshold, taken in
-    blocks of about _BLOCK_BYTES of the (nodes, d, probes) product."""
+    blocks of about BLOCK_BYTES of the (nodes, d, probes) product."""
     n, d, _ = carriers.shape
     alive = np.zeros(probes.shape[0], dtype=np.int64)
-    step = max(1, _BLOCK_BYTES // (8 * d * probes.shape[0]))
+    step = max(1, _common.BLOCK_BYTES // (8 * d * probes.shape[0]))
     for start in range(0, n, step):
         rows = carriers[start:start + step].reshape(-1, d)
         block = np.abs(rows @ probes.T).reshape(-1, d, probes.shape[0])
@@ -304,9 +305,10 @@ def _alive_counts(carriers, probes, thresholds) -> np.ndarray:
 def pool_to_csv(pool: SamplePool, path) -> None:
     """One `%.17g` cell per coordinate, CRLF rows after a z0,z1,... header;
     each block of _CSV_BLOCK rows is formatted by one `%` of a repeated row
-    template, so no string of the whole pool is built."""
+    template, so no string of the whole pool is built.  Written by rename,
+    so a failed write leaves no truncated pool."""
     row = ",".join(["%.17g"] * pool.dim) + "\r\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_replacing(path) as fh:
         fh.write(",".join(f"z{i}" for i in range(pool.dim)) + "\r\n")
         for start in range(0, pool.size, _CSV_BLOCK):
             block = pool.samples[start:start + _CSV_BLOCK]

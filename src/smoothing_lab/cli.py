@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._common import open_replacing
 from .cascade import (
     heavy_tail_pool,
     pool_from_csv,
@@ -100,10 +101,11 @@ def _csv_text(path, header, rows) -> tuple:
 
 
 def _write_texts(texts) -> None:
-    """Write each (path, text) in order.  Every text is built, and so
-    checked, before the first file opens, so a run writes all or none."""
+    """Write each (path, text) in order, each by rename.  Every text is
+    built, and so checked, before the first file opens, so a run writes all
+    or none."""
     for path, text in texts:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open_replacing(path) as fh:
             fh.write(text)
 
 

@@ -12,13 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _common
 from ._common import as_generator
 from .cascade import ZERO_TOL
 from .errors import EmptyTail, InsufficientDecay, OutOfRange
 from .models import ModelSpec
 
 _PROBE_STREAM = 0xD1A6005E
-_ECF_BLOCK_BYTES = 1 << 19    # bytes of complex phases per ECF row block
 _DECAY_MAX_MODULUS = 0.9      # radii whose modulus stays below this are fitted
 _DECAY_MIN_POINTS = 5
 _DECAY_BOOTSTRAPS = 500
@@ -56,7 +56,7 @@ def transform_curve(pool, max_exp: int = 14,
     """Sup-modulus curve on the radii 2^0 .. 2^max_exp: exp(i 2r phi) is
     exp(i r phi) squared, so one exp at radius 1, then a squaring per radius.
 
-    The pool is taken in row blocks of about _ECF_BLOCK_BYTES of complex
+    The pool is taken in row blocks of about BLOCK_BYTES of complex
     phases, so memory does not grow with the pool size.  Each radius keeps
     its running sum in row 0 of the block buffer, so the column sums still
     add the samples one at a time in pool order, and the curve is the same,
@@ -68,7 +68,7 @@ def transform_curve(pool, max_exp: int = 14,
         n_probes = 32 if pool.dim <= 2 else 128
     probes = sphere_grid(pool.dim, n_probes)
     width = probes.shape[0]                    # a 1-dim grid has two probes
-    rows = max(1, _ECF_BLOCK_BYTES // (16 * width))
+    rows = max(1, _common.BLOCK_BYTES // (16 * width))
     buf = np.empty((rows + 1, width), dtype=complex)
     sums = np.zeros((max_exp + 1, width), dtype=complex)
     for start in range(0, pool.size, rows):

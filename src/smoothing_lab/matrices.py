@@ -75,11 +75,12 @@ def is_primitive(a) -> bool:
     return primitivity_index(a) is not None
 
 
-def _power_direction(a: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    d = a.shape[0]
+def _power_direction(apply, d: int, tol: float, max_iter: int) -> np.ndarray:
+    """Unit-L1 fixed direction of the nonnegative linear map `apply` on R^d,
+    by power iteration from the uniform direction."""
     v = np.full(d, 1.0 / d)
     for _ in range(max_iter):
-        w = a @ v
+        w = apply(v)
         s = w.sum()
         if s <= 0:
             raise NotPrimitive("iteration left the positive cone")
@@ -102,7 +103,7 @@ def pf_decompose(a) -> np.ndarray:
     a = check_nonneg_matrix(a)
     if not is_primitive(a):
         raise NotPrimitive("no power of the matrix is strictly positive")
-    return _power_direction(a, _PF_TOL, _PF_MAX_ITER)
+    return _power_direction(lambda v: a @ v, a.shape[0], _PF_TOL, _PF_MAX_ITER)
 
 
 def hennion_distance(x, y) -> float:

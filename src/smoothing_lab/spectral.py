@@ -5,21 +5,24 @@ estimated by Monte Carlo over products of i.i.d. matrices with periodic
 renormalization.  One kernel draws every chain: a row gather of a branch
 table of singleton branches, as in a pool round, advances the chains by a
 word of several steps, read from a table of every word of the chain law.
+The product stack is updated in place one block of chains at a time.
 Moments of several orders are read off one set of chains, in the log
 domain.  The conditioned singleton-branch law additionally gets a
 discretized transfer operator on the direction simplex whose leading
 eigenvalue extends the moment growth rate to negative orders; its root
 against 1/P[N = 1] is the critical harmonic-moment exponent.  The operator
 interpolates linearly on the Freudenthal (Kuhn) triangulation of the
-lattice grid, in closed form.
+lattice grid, in closed form, and is held in gather form whose geometry
+is built once per law and grid.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import _common
 from ._common import as_generator, spawn_generators
 from .errors import (
     FurstenbergKestenViolated,
@@ -48,6 +51,7 @@ _ALPHA_TOL = 1e-3             # accepted |m(alpha) - 1|
 _EIGEN_TOL = 1e-12
 _EIGEN_MAX_ITER = 20_000
 _A_MAX = 10.0                 # largest order the critical exponent is sought at
+_GEOMETRY_CACHE = 8           # (law, grid) transfer geometries kept
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +73,9 @@ def _chain_log_norms(law, n: int, trials: int, seed) -> np.ndarray:
     multiplications changes.  The last n mod k steps run one at a time on
     the base table.  The stack is renormalized every _RENORM_EVERY steps and
     at the end, and the log scale accumulated, since the chains decay
-    geometrically.  Raises SingularDirection when a chain product vanishes.
+    geometrically.  Each step's ids are drawn for every chain at once, and
+    the stack is updated in place BLOCK_BYTES of it at a time.  Raises
+    SingularDirection when a chain product vanishes.
     """
     if n < 1:
         raise ValueError("chain length must be >= 1")
@@ -88,6 +94,7 @@ def _chain_log_norms(law, n: int, trials: int, seed) -> np.ndarray:
     word_table = BranchTable.compile([(p, [w]) for p, w in zip(probs, words)])
     prod = np.eye(d)[:, :, None].repeat(trials, axis=2)
     logscale = np.zeros(trials)
+    block = max(1, _common.BLOCK_BYTES // (8 * d * d))
     step = 0
     while step < n:
         width = k if n - step >= k else 1
@@ -95,15 +102,19 @@ def _chain_log_norms(law, n: int, trials: int, seed) -> np.ndarray:
         ids = table.draw(rng, trials)
         for j in range(1, width):
             ids += table.draw(rng, trials) * atoms ** j
-        prod = np.stack([gather.row(i, ids, prod) for i in range(d)])
         step += width
-        if step % _RENORM_EVERY == 0 or step == n:
-            scale = prod.sum(axis=0).max(axis=0)  # entries are nonnegative
-            if not scale.all():
-                raise SingularDirection(
-                    f"a chain product vanished by step {step}")
-            logscale += np.log(scale)
-            prod /= scale
+        renorm = step % _RENORM_EVERY == 0 or step == n
+        for lo in range(0, trials, block):
+            part = prod[:, :, lo:lo + block]
+            part[...] = [gather.row(i, ids[lo:lo + block], part)
+                         for i in range(d)]
+            if renorm:
+                scale = part.sum(axis=0).max(axis=0)  # entries are nonnegative
+                if not scale.all():
+                    raise SingularDirection(
+                        f"a chain product vanished by step {step}")
+                logscale[lo:lo + block] += np.log(scale)
+                part /= scale
     return logscale
 
 
@@ -222,20 +233,27 @@ def find_alpha(spec: ModelSpec, *, n: int = 64, trials: int = 40_000,
 
 @dataclass
 class TransferDiscretization:
-    """Gridded transfer operator for the singleton-branch law at order s."""
+    """Gridded transfer operator for the singleton-branch law at order s, in
+    gather form: (P f)[g] = sum_k w[g, k] f[idx[g, k]]."""
 
-    s: float
-    grid: np.ndarray                 # (G, d) unit-L1 directions
-    operator_matrix: np.ndarray      # (G, G), entrywise nonnegative
+    idx: np.ndarray                  # (G, K) grid rows, K = atoms * d
+    w: np.ndarray                    # (G, K), entrywise nonnegative
     eigenvalue: float | None = None
-    eigenfunction: np.ndarray | None = None
     residual: float | None = None    # max |P r - lambda r| after solving
+
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        return (f[self.idx] * self.w).sum(axis=1)
+
+    def adjoint(self, mu: np.ndarray) -> np.ndarray:
+        """P^T mu: each row's mass spread over the rows it reads."""
+        return np.bincount(self.idx.ravel(), (mu[:, None] * self.w).ravel(),
+                           minlength=self.idx.shape[0])
 
     @cached_property
     def eigenmeasure(self) -> np.ndarray:
         """Probability eigenmeasure by the adjoint power iteration, solved
         on first read; NoConvergence when the iteration stalls."""
-        return _power_direction(self.operator_matrix.T, _EIGEN_TOL,
+        return _power_direction(self.adjoint, self.idx.shape[0], _EIGEN_TOL,
                                 _EIGEN_MAX_ITER)
 
 
@@ -282,6 +300,29 @@ def _interpolation_weights(points: np.ndarray, m: int, table: np.ndarray):
     return idx, w
 
 
+@lru_cache(maxsize=_GEOMETRY_CACHE)
+def _transfer_geometry(d: int, grid_size: int, mats: tuple) -> tuple:
+    """Read-only interpolation indices (G, M d) and weights (G, M, d) of
+    each atom's image direction on the lattice, and its L1 image norms
+    (G, M): the part of the operator that every order shares.  `mats` holds
+    the atoms as flat tuples of floats, so the cache is keyed on content."""
+    grid, m, table = _simplex_lattice(d, grid_size)
+    parts = []
+    for a in mats:
+        img = grid @ np.reshape(a, (d, d)).T
+        norms = img.sum(axis=1)
+        if np.any(norms <= 0.0):
+            raise FurstenbergKestenViolated(
+                "a singleton-branch atom maps part of the simplex to zero")
+        parts.append((*_interpolation_weights(img / norms[:, None], m, table),
+                      norms))
+    idx, w, norms = zip(*parts)
+    out = (np.hstack(idx), np.stack(w, axis=1), np.stack(norms, axis=1))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def discretize_transfer(spec: ModelSpec, s: float,
                         grid_size: int = 512) -> TransferDiscretization:
     """Build the gridded operator f -> E[ |A v|^s f(A . v) ] for the
@@ -295,34 +336,23 @@ def discretize_transfer(spec: ModelSpec, s: float,
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     atoms = conditioned_a1_atoms(spec)
-    grid, m, table = _simplex_lattice(spec.dim, grid_size)
-    g = grid.shape[0]
-    op = np.zeros((g, g))
-    rows = np.arange(g)[:, None]
-    for p, a in atoms:
-        img = grid @ a.T
-        norms = img.sum(axis=1)
-        if np.any(norms <= 0.0):
-            raise FurstenbergKestenViolated(
-                "a singleton-branch atom maps part of the simplex to zero"
-            )
-        dirs = img / norms[:, None]
-        idx, w = _interpolation_weights(dirs, m, table)
-        np.add.at(op, (rows, idx), (p * norms ** s)[:, None] * w)
-    return TransferDiscretization(s=s, grid=grid, operator_matrix=op)
+    mats = tuple(tuple(a.ravel().tolist()) for _, a in atoms)
+    idx, w, norms = _transfer_geometry(spec.dim, grid_size, mats)
+    probs = np.array([p for p, _ in atoms])
+    w = (w * (probs * norms ** s)[:, :, None]).reshape(idx.shape)
+    return TransferDiscretization(idx=idx, w=w)
 
 
 def transfer_eigen(disc: TransferDiscretization) -> TransferDiscretization:
-    """Leading eigenvalue and eigenfunction by power iteration.
+    """Leading eigenvalue by power iteration.
 
     Collatz bounds certify convergence: iteration stops when the min and max
     of (P f) / f agree to tolerance; NoConvergence when the iteration stalls.
     The eigenmeasure is solved only when it is read.
     """
-    op = disc.operator_matrix
-    f = np.ones(op.shape[0])
+    f = np.ones(disc.idx.shape[0])
     for _ in range(_EIGEN_MAX_ITER):
-        pf = op @ f
+        pf = disc.apply(f)
         ratios = pf / f
         lo, hi = float(ratios.min()), float(ratios.max())
         f = pf / pf.max()
@@ -331,8 +361,8 @@ def transfer_eigen(disc: TransferDiscretization) -> TransferDiscretization:
     else:
         raise NoConvergence("transfer-operator power iteration stalled")
     lam = 0.5 * (lo + hi)
-    disc.eigenvalue, disc.eigenfunction = lam, f
-    disc.residual = float(np.abs(op @ f - lam * f).max())
+    disc.eigenvalue = lam
+    disc.residual = float(np.abs(disc.apply(f) - lam * f).max())
     return disc
 
 

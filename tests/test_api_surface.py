@@ -35,12 +35,6 @@ UNPASSED_PARAMETERS = {
 
 # dataclass fields kept although no caller reads them
 UNREAD_FIELDS = {
-    ("spectral", "TransferDiscretization", "s"):
-        "ROADMAP item 1 replaces this layout with a gather form",
-    ("spectral", "TransferDiscretization", "eigenfunction"):
-        "ROADMAP item 1 replaces this layout with a gather form",
-    ("spectral", "TransferDiscretization", "grid"):
-        "ROADMAP item 1 replaces this layout with a gather form",
     ("support", "ConeHull", "directions"):
         "the hull's deduplicated input, which the LP reference tests use",
 }

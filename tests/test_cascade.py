@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import smoothing_lab as sl
-from smoothing_lab import cascade
+from smoothing_lab import _common, cascade
 from smoothing_lab._common import as_generator, spawn_generators
 from smoothing_lab.errors import SupercriticalBlowup
 
@@ -202,7 +202,7 @@ def whole_chunk_martingale(spec, depth, trials, seed):
     return np.concatenate(out)
 
 
-# _BLOCK_BYTES // 8 nodes per draw and fold block: 8 is one node per draw
+# BLOCK_BYTES // 8 nodes per draw and fold block: 8 is one node per draw
 # and one tree per fold; an ex1 tree has 2048 nodes at depth 11, so 8 * 3000
 # folds one tree at a time with draws that straddle trees, 8 * 3 * 2048 ends
 # each block on a tree boundary and 8 * 50_000 folds 24 trees at a time
@@ -218,7 +218,7 @@ def test_martingale_blocks_match_whole_chunk_fold(name, depth, trials, blocks,
     W = sl.martingale_samples(spec, depth, trials, seed=depth)
     assert np.array_equal(W, whole_chunk_martingale(spec, depth, trials, depth))
     for block in blocks:
-        monkeypatch.setattr(cascade, "_BLOCK_BYTES", block)
+        monkeypatch.setattr(_common, "BLOCK_BYTES", block)
         assert np.array_equal(
             sl.martingale_samples(spec, depth, trials, seed=depth), W)
 
@@ -237,7 +237,7 @@ def test_survival_counts_blocks_match_default(name, depth, blocks, request,
     probes = sl.sphere_grid(2, 128)
     counts = sl.survival_counts(spec, probes, depth, seed=depth)
     for block in blocks:
-        monkeypatch.setattr(cascade, "_BLOCK_BYTES", block)
+        monkeypatch.setattr(_common, "BLOCK_BYTES", block)
         assert np.array_equal(
             sl.survival_counts(spec, probes, depth, seed=depth), counts)
 
@@ -340,6 +340,34 @@ def test_pool_csv_roundtrip(tmp_path, ex1):
     sl.pool_to_csv(pool, path)
     again = sl.pool_from_csv(path)
     assert np.array_equal(again.samples, pool.samples)
+
+
+class _RowsFailingAfterFirstBlock:
+    """A sample array whose second write block cannot be read, as a write
+    that fails part way through the pool."""
+
+    def __init__(self, samples):
+        self.samples, self.shape = samples, samples.shape
+
+    def __getitem__(self, key):
+        if key.start:
+            raise OSError("no space left on device")
+        return self.samples[key]
+
+
+def test_failed_pool_write_leaves_the_old_file(tmp_path, monkeypatch):
+    # the first block is written before the failure: without the rename
+    # the path would hold a header and one block, a valid shorter pool
+    monkeypatch.setattr(cascade, "_CSV_BLOCK", 2)
+    path = tmp_path / "pool.csv"
+    path.write_text("old\n")
+    pool = sl.SamplePool(dim=2, samples=np.ones((5, 2)))
+    monkeypatch.setattr(pool, "samples",
+                        _RowsFailingAfterFirstBlock(pool.samples))
+    with pytest.raises(OSError, match="no space"):
+        sl.pool_to_csv(pool, path)
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["pool.csv"]
 
 
 _EDGE_VALUES = [5e-324, 1e-300, 1e300, 0.1, 0.0, 1.0, 7.0, 123456789.0,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import smoothing_lab as sl
-from smoothing_lab import cli
+from smoothing_lab import _common, cli
 from smoothing_lab.cli import main
 from smoothing_lab.errors import EmptyTail
 
@@ -389,6 +389,33 @@ def test_json_outputs_reject_non_finite_values(tmp_path):
     with pytest.raises(ValueError):
         cli._write_texts([cli._json_text(path, {"x": [1.0, float("inf")]})])
     assert not path.exists()
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path):
+    # the second text cannot be encoded: the first file is complete, the
+    # second keeps its old content, and no temporary file is left
+    first, second = tmp_path / "a.csv", tmp_path / "b.json"
+    second.write_text("old\n")
+    with pytest.raises(UnicodeEncodeError):
+        cli._write_texts([(first, "x,y\n" * 1000),
+                          (second, "z" * 100_000 + "\ud800")])
+    assert first.read_text() == "x,y\n" * 1000
+    assert second.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.json"]
+
+
+def test_failed_rename_removes_the_temporary_file(tmp_path, monkeypatch):
+    renames = []
+
+    def failing_replace(src, dst):
+        renames.append(dst)
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(_common.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        cli._write_texts([(tmp_path / "a.csv", "x\n")])
+    assert renames == [tmp_path / "a.csv"]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("s_grid", ["-2000,0.5", "3000"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import smoothing_lab as sl
-from smoothing_lab import diagnostics
+from smoothing_lab import _common
 from smoothing_lab.diagnostics import harmonic_floor_table
 from smoothing_lab.errors import EmptyTail, InsufficientDecay
 
@@ -95,7 +95,7 @@ def test_transform_curve_blocks_match_unblocked_mean(dim, size):
     # row blocks carry each radius's running sum in pool order, so the curve
     # is the unblocked mean bit for bit, a lone last row included
     n_probes = 32 if dim == 2 else 128
-    block = diagnostics._ECF_BLOCK_BYTES // (16 * n_probes)
+    block = _common.BLOCK_BYTES // (16 * n_probes)
     rng = np.random.default_rng(dim)
     pool = sl.SamplePool(dim=dim,
                          samples=rng.exponential(size=(size(block), dim)))

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 import smoothing_lab as sl
+from smoothing_lab import _common, spectral
 from smoothing_lab._common import as_generator, spawn_generators
 from smoothing_lab.errors import (
     FurstenbergKestenViolated,
@@ -11,12 +14,25 @@ from smoothing_lab.errors import (
     SingularDirection,
     WitnessNotFound,
 )
-from smoothing_lab.spectral import _chain_log_norms
+from smoothing_lab.spectral import _chain_log_norms, _simplex_lattice
 
 from conftest import A1, A2
 
 # interior moment root of the third bundled model: 0.4^s + 0.6^s = 4/3
 ALPHA_EX3 = brentq(lambda s: 0.4**s + 0.6**s - 4.0 / 3.0, 1e-6, 1.0, xtol=1e-14)
+
+B0 = np.array([[0.3, 0.1, 0.2], [0.1, 0.4, 0.1], [0.2, 0.1, 0.2]])
+B1 = np.array([[0.1, 0.5, 0.1], [0.3, 0.1, 0.2], [0.1, 0.2, 0.4]])
+B2 = np.array([[0.2, 0.2, 0.3], [0.2, 0.3, 0.1], [0.3, 0.1, 0.1]])
+
+
+def b_model():
+    """3-dim model with singleton branches B0 and B1: three chain atoms, so
+    4-step words, and a two-atom conditioned law."""
+    return sl.ModelSpec(
+        dim=3, kind="ExplicitAtoms",
+        atoms=((0.3, (B0,)), (0.2, (B1,)), (0.5, (B0, B1, B2))),
+    )
 
 
 def test_kappa_at_zero_is_exact(ex1):
@@ -130,6 +146,33 @@ def test_chain_log_norms_matches_reference_loop(name, n):
         assert logs[t] == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("name", ["ex3", "b3"])
+def test_chain_blocks_match_default(name, monkeypatch):
+    # 70 steps: renormalized at 32, 64 and 70, with a tail of 70 mod k
+    # single steps (k = 8 for ex3, 4 for b3); blocks of one chain, of 7
+    # (straddling the 50 trials) and of every trial give the same bits
+    spec = sl.example_model("ex3") if name == "ex3" else b_model()
+    law, d = sl.mu_atom_law(spec), spec.dim
+    logs = _chain_log_norms(law, 70, 50, seed=12)
+    for chains in (1, 7, 1 << 40):
+        monkeypatch.setattr(_common, "BLOCK_BYTES", 8 * d * d * chains)
+        assert np.array_equal(_chain_log_norms(law, 70, 50, seed=12), logs)
+
+
+def test_find_alpha_memory_is_bounded_by_the_block():
+    # a whole-stack update held the old (3, 3, 40k) product stack, its
+    # three rows and the new stack at once: 9.9 MiB traced.  The 40k chains
+    # are drawn before the root is sought, which b3 lacks on (0, 1]
+    tracemalloc.start()
+    try:
+        with pytest.raises(WitnessNotFound, match="whole grid"):
+            sl.find_alpha(b_model(), seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, peak
+
+
 def vanishing_model():
     """Products of the nilpotent atom with itself are the zero matrix."""
     nil = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -207,7 +250,7 @@ def test_find_alpha_not_found():
 
 def test_transfer_apply_order_zero(ex3):
     disc = sl.discretize_transfer(ex3, 0.0, grid_size=64)
-    out = disc.operator_matrix @ np.ones(64)
+    out = disc.apply(np.ones(64))
     assert out == pytest.approx(np.ones(64), abs=1e-12)
 
 
@@ -215,9 +258,9 @@ def test_transfer_apply_example_value(ex3):
     # order -1 at v = (1/2, 1/2): 0.5 (|a1 v|^-1 + |a2 v|^-1) with L1 image
     # norms 0.4 and 0.6, i.e. 25/12 (direct matrix-vector arithmetic)
     disc = sl.discretize_transfer(ex3, -1.0, grid_size=257)
-    out = disc.operator_matrix @ np.ones(257)
+    out = disc.apply(np.ones(257))
     k = 128  # grid midpoint (1/2, 1/2)
-    assert disc.grid[k] == pytest.approx([0.5, 0.5], abs=1e-12)
+    assert _simplex_lattice(2, 257)[0][k] == pytest.approx([0.5, 0.5], abs=1e-12)
     assert out[k] == pytest.approx(25.0 / 12.0, abs=1e-12)
 
 
@@ -230,13 +273,8 @@ def test_transfer_scalar_atom():
     )
     disc = sl.discretize_transfer(spec, -1.0, grid_size=33)
     f = np.linspace(1.0, 2.0, 33)
-    out = disc.operator_matrix @ f
+    out = disc.apply(f)
     assert out == pytest.approx(f / c, abs=1e-9)
-
-
-B0 = np.array([[0.3, 0.1, 0.2], [0.1, 0.4, 0.1], [0.2, 0.1, 0.2]])
-B1 = np.array([[0.1, 0.5, 0.1], [0.3, 0.1, 0.2], [0.1, 0.2, 0.4]])
-B2 = np.array([[0.2, 0.2, 0.3], [0.2, 0.3, 0.1], [0.3, 0.1, 0.1]])
 
 
 @pytest.mark.parametrize("grid_size", [33, 256])
@@ -244,20 +282,17 @@ B2 = np.array([[0.2, 0.2, 0.3], [0.2, 0.3, 0.1], [0.3, 0.1, 0.1]])
 def test_transfer_exact_on_affine_functions_3d(s, grid_size):
     # linear interpolation reproduces affine grid functions f(v) = c . v, so
     # the gridded operator must equal the finite-atom expectation pointwise
-    spec = sl.ModelSpec(
-        dim=3, kind="ExplicitAtoms",
-        atoms=((0.3, (B0,)), (0.2, (B1,)), (0.5, (B0, B1, B2))),
-    )
+    spec = b_model()
     c = np.array([1.0, -2.0, 0.5])
     disc = sl.discretize_transfer(spec, s, grid_size=grid_size)
-    grid = disc.grid
-    assert grid.shape[0] >= grid_size
+    grid = _simplex_lattice(3, grid_size)[0]
+    assert grid.shape[0] == disc.idx.shape[0] >= grid_size
     exact = np.zeros(grid.shape[0])
     for p, a in ((0.6, B0), (0.4, B1)):
         img = grid @ a.T
         norms = img.sum(axis=1)
         exact += p * norms**s * ((img / norms[:, None]) @ c)
-    assert disc.operator_matrix @ (grid @ c) == pytest.approx(exact, abs=1e-12)
+    assert disc.apply(grid @ c) == pytest.approx(exact, abs=1e-12)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -285,6 +320,86 @@ def test_transfer_rejects_zero_column_atom():
         sl.discretize_transfer(spec, -1.0, grid_size=16)
 
 
+def dense_operator(disc) -> np.ndarray:
+    """The (G, G) matrix of the gather form, summed with np.add.at."""
+    g = disc.idx.shape[0]
+    op = np.zeros((g, g))
+    np.add.at(op, (np.arange(g)[:, None], disc.idx), disc.w)
+    return op
+
+
+def dense_reference(spec, s, grid_size) -> np.ndarray:
+    """The (G, G) operator built atom by atom from the lattice, as a dense
+    matrix, independently of the gather form's geometry."""
+    grid, m, table = _simplex_lattice(spec.dim, grid_size)
+    op = np.zeros((grid.shape[0], grid.shape[0]))
+    for p, a in sl.conditioned_a1_atoms(spec):
+        img = grid @ a.T
+        norms = img.sum(axis=1)
+        idx, w = spectral._interpolation_weights(img / norms[:, None], m, table)
+        np.add.at(op, (np.arange(grid.shape[0])[:, None], idx),
+                  (p * norms ** s)[:, None] * w)
+    return op
+
+
+@pytest.mark.parametrize("name, s, grid_size", [
+    ("ex3", -1.0, 64), ("ex3", 0.7, 257), ("b3", -0.5, 100), ("b3", 1.5, 33),
+])
+def test_transfer_gather_matches_dense(ex3, name, s, grid_size):
+    spec = ex3 if name == "ex3" else b_model()
+    disc = sl.transfer_eigen(sl.discretize_transfer(spec, s, grid_size))
+    op = dense_operator(disc)
+    assert np.array_equal(op, dense_reference(spec, s, grid_size))
+    rng = np.random.default_rng(grid_size)
+    f = rng.uniform(0.5, 2.0, size=op.shape[0])
+    assert disc.apply(f) == pytest.approx(op @ f, rel=1e-13)
+    assert disc.adjoint(f) == pytest.approx(op.T @ f, rel=1e-13)
+    assert disc.eigenvalue == pytest.approx(
+        np.linalg.eigvals(op).real.max(), rel=1e-10)
+    assert op.T @ disc.eigenmeasure == pytest.approx(
+        disc.eigenvalue * disc.eigenmeasure, rel=1e-8)
+
+
+def test_transfer_geometry_built_once_per_grid(ex3, monkeypatch):
+    # every order of the kappa_tilde grid and every gap evaluation of the
+    # a0 bisection reuses one geometry: each conditioned atom's image
+    # directions are interpolated once (76 times when built per order)
+    calls = []
+    weights = spectral._interpolation_weights
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return weights(*args)
+
+    monkeypatch.setattr(spectral, "_interpolation_weights", counted)
+    spectral._transfer_geometry.cache_clear()
+    sl.spectral_profile(ex3, chain_n=8, chain_trials=100, lyap_n=8,
+                        lyap_trials=100, grid_size=96, seed=1)
+    assert len(sl.conditioned_a1_atoms(ex3)) == 2
+    assert calls == [(96, 2), (96, 2)]
+
+
+def test_transfer_geometry_is_read_only(ex3):
+    disc = sl.discretize_transfer(ex3, -1.0, grid_size=32)
+    with pytest.raises(ValueError, match="read-only"):
+        disc.idx[0, 0] = 1
+    geometry = spectral._transfer_geometry.cache_info()
+    sl.discretize_transfer(ex3, 0.5, grid_size=32)
+    assert spectral._transfer_geometry.cache_info().hits == geometry.hits + 1
+
+
+def test_kappa_tilde_memory_does_not_grow_with_the_grid_squared():
+    # a dense (G, G) operator at G = 1035 takes 8.6 MB
+    spectral._transfer_geometry.cache_clear()
+    tracemalloc.start()
+    try:
+        sl.kappa_tilde(b_model(), -0.5, grid_size=1035)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
 def closed_form_ex3(s: float) -> float:
     return (2.0**s + 3.0**s) / (2.0 * 5.0**s)
 
@@ -295,10 +410,11 @@ def test_kappa_tilde_matches_closed_form(ex3):
         assert value == pytest.approx(closed_form_ex3(s), abs=1e-9)
         disc = sl.transfer_eigen(sl.discretize_transfer(ex3, s, grid_size=128))
         assert disc.eigenvalue == value
-        measure, func = disc.eigenmeasure, disc.eigenfunction
+        measure = disc.eigenmeasure
         assert measure.min() >= 0 and measure.sum() == pytest.approx(1.0, abs=1e-9)
         # the kernel is constant over directions, so the eigenfunction is flat
-        assert func.max() - func.min() < 1e-9
+        assert disc.apply(np.ones(128)) == pytest.approx(value, abs=1e-9)
+        assert disc.residual < 1e-9
 
 
 def test_kappa_tilde_monotone(ex3):
@@ -321,14 +437,14 @@ def test_transfer_eigen_duality(ex3):
     rng = np.random.default_rng(60)
     for _ in range(5):
         f = rng.uniform(0.5, 2.0, size=64)
-        lhs = disc.eigenmeasure @ (disc.operator_matrix @ f)
+        lhs = disc.eigenmeasure @ disc.apply(f)
         rhs = disc.eigenvalue * (disc.eigenmeasure @ f)
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
 def test_transfer_adjoint_eigenvalue_agrees(ex3):
     disc = sl.transfer_eigen(sl.discretize_transfer(ex3, -0.5, grid_size=64))
-    lam_left = (disc.operator_matrix.T @ disc.eigenmeasure).sum()
+    lam_left = disc.adjoint(disc.eigenmeasure).sum()
     assert lam_left == pytest.approx(disc.eigenvalue, rel=1e-8)
 
 
