@@ -45,8 +45,11 @@ def spawn_generators(seed, n: int) -> list:
 
 
 def resolve_budget(default: int) -> int:
-    """SMOOTHING_LAB_BUDGET when set, else `default`; a value that is not
-    an integer of at least 1 raises ValueError."""
+    """The budget whose default is `default`.  SMOOTHING_LAB_BUDGET, when
+    set, is the element budget, and every budget scales with it by the
+    ratio of its default to DEFAULT_ELEMENT_BUDGET, so a larger setting
+    never gives a smaller budget; a value that is not an integer of at
+    least 1 raises ValueError."""
     env = os.environ.get(BUDGET_ENV_VAR)
     if not env:
         return default
@@ -57,7 +60,7 @@ def resolve_budget(default: int) -> int:
     if budget < 1:
         raise ValueError(f"{BUDGET_ENV_VAR} must be an integer of at least 1, "
                          f"got {env!r}")
-    return budget
+    return budget * default // DEFAULT_ELEMENT_BUDGET
 
 
 def charge_budget(count: int, budget: int, what: str) -> None:

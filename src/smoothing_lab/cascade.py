@@ -112,14 +112,18 @@ def run_fixed_point(spec: ModelSpec, k: int, rounds: int, init=None, seed=0,
     """Iterate the pool `rounds` times from a constant cloud at `init`.
 
     Returns (pool, mean_norm_history); the history has rounds + 1 entries and
-    starts with the initial pool.  An explicit initial_pool overrides init.
-    OutOfRange as soon as a mean norm in the history is not finite.
+    starts with the initial pool.  An explicit initial_pool of k samples
+    replaces init, and ValueError when it comes with init or with another
+    size.  OutOfRange as soon as a mean norm in the history is not finite.
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
     if k < 1:
         raise ValueError("k must be >= 1")
     if initial_pool is not None:
+        if init is not None or initial_pool.size != k:
+            raise ValueError("initial_pool takes the place of init and must "
+                             f"hold k = {k} samples")
         pool = initial_pool
     else:
         if init is None:

@@ -1,23 +1,23 @@
 """Finite-atom models of the branch point process (N, A_1, ..., A_N).
 
-A model is declared in one of three styles:
+A ``ModelSpec`` is the compiled branch law: either the joint law as a finite
+list of (probability, branch) atoms, each branch a nonempty list of nonzero
+nonnegative matrices, with the law of N (``n_law``) read off the atoms; or
+the law of N and a finite single-matrix law (``mu_atoms``) whose i.i.d.
+draws, given N = n, make up the branch, with ``atoms = None``.  Every
+derived law (exact expectations, conditional laws, samplers) reads that
+form, so the finite-atom arithmetic stays in this module.  Every sampler
+draws from, and gathers rows of, a compiled ``BranchTable``: one per model,
+built on first use, and one per single-matrix chain law.
 
-* ``ExplicitAtoms``: the joint law is a finite list of (probability, branch)
-  pairs, each branch a nonempty list of nonzero nonnegative matrices.
-* ``IIDCoefficients``: N has a finite law and, given N = n, the branch is n
-  i.i.d. draws from a finite single-matrix law.
-* ``ScalarRandomized``: a fixed base branch is multiplied by one random
+A model file declares the law in one of three styles, and
+``model_from_dict`` is the one reader of the style:
+
+* ``ExplicitAtoms``: the (probability, branch) atoms themselves.
+* ``IIDCoefficients``: the law of N and the single-matrix law.
+* ``ScalarRandomized``: a fixed base branch multiplied by one random
   positive scalar drawn from a finite law (the scalar is shared across the
-  whole branch).
-
-``ModelSpec`` reads the style once, at construction, and compiles it into one
-form: the law of N (``n_law``) and, for the explicit and scalar styles, the
-joint law as (probability, branch) atoms (``atoms``).  An i.i.d. model keeps
-``atoms = None`` and its single-matrix factors (``mu_atoms``).  Every derived
-law (exact expectations, conditional laws, samplers) reads that form, so the
-finite-atom arithmetic stays in this module.  Every sampler draws from, and
-gathers rows of, a compiled ``BranchTable``: one per model, built on first
-use, and one per single-matrix chain law.
+  whole branch), compiled to one atom (p, x * base) per scalar atom (p, x).
 """
 from __future__ import annotations
 
@@ -32,10 +32,6 @@ import numpy as np
 from ._common import DEFAULT_ELEMENT_BUDGET, resolve_budget
 from .errors import BudgetExceeded, NoSingletonBranch
 from .matrices import check_nonneg_matrix
-
-KIND_EXPLICIT = "ExplicitAtoms"
-KIND_IID = "IIDCoefficients"
-KIND_SCALAR = "ScalarRandomized"
 
 _PROB_TOL = 1e-12
 _MATRIX_TOL = 1e-12
@@ -126,37 +122,30 @@ class BranchTable:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Validated finite-atom description of the branch law.
+    """Validated finite-atom branch law in its compiled form.
 
-    Construction checks the declared style and compiles it: every spec gets
-    n_law, one (n, prob) entry per explicit atom or the single (len(base),
-    1.0) of a scalar spec; explicit and scalar specs get atoms, a scalar
-    atom being (p, x * base) for each (p, x) of scalar_law.  An i.i.d. spec
-    keeps its declared n_law and mu_atoms, with atoms None.
+    It takes either atoms, with n_law derived as one (n, prob) entry per
+    atom, or the n_law and mu_atoms of an i.i.d. law, with atoms None; any
+    other combination raises ValueError.
     """
 
     dim: int
-    kind: str
     atoms: tuple | None = None          # ((prob, (matrix, ...)), ...)
     n_law: tuple | None = None          # ((n, prob), ...)
     mu_atoms: tuple | None = None       # ((prob, matrix), ...)
-    base_branch: tuple | None = None    # (matrix, ...)
-    scalar_law: tuple | None = None     # ((prob, value), ...)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        atoms = None
-        if self.kind == KIND_EXPLICIT:
-            if not self.atoms:
-                raise ValueError("ExplicitAtoms requires atoms")
+        given = tuple(x is not None for x in (self.atoms, self.n_law,
+                                              self.mu_atoms))
+        if given == (True, False, False):
             atoms = tuple((float(prob), _check_branch(br, self.dim, "atom"))
                           for prob, br in self.atoms)
             _check_prob_list([p for p, _ in atoms], "atoms")
+            object.__setattr__(self, "atoms", atoms)
             n_law = tuple((len(br), p) for p, br in atoms)
-        elif self.kind == KIND_IID:
-            if not self.n_law or not self.mu_atoms:
-                raise ValueError("IIDCoefficients requires n_law and mu_atoms")
+        elif given == (False, True, True):
             n_law = tuple((int(n), float(p)) for n, p in self.n_law)
             if any(n < 1 for n, _ in n_law):
                 raise ValueError("n_law values must be >= 1 (N = 0 is not allowed)")
@@ -167,21 +156,8 @@ class ModelSpec:
             )
             _check_prob_list([p for p, _ in mu], "mu_atoms")
             object.__setattr__(self, "mu_atoms", mu)
-        elif self.kind == KIND_SCALAR:
-            if not self.base_branch or not self.scalar_law:
-                raise ValueError("ScalarRandomized requires base_branch and scalar_law")
-            base = _check_branch(self.base_branch, self.dim, "base branch")
-            sl = tuple((float(p), float(x)) for p, x in self.scalar_law)
-            if not all(0 < x < np.inf for _, x in sl):
-                raise ValueError("scalar_law values must be positive and finite")
-            _check_prob_list([p for p, _ in sl], "scalar_law")
-            object.__setattr__(self, "base_branch", base)
-            object.__setattr__(self, "scalar_law", sl)
-            atoms = tuple((p, tuple(x * m for m in base)) for p, x in sl)
-            n_law = ((len(base), 1.0),)
         else:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        object.__setattr__(self, "atoms", atoms)
+            raise ValueError("a model takes atoms, or n_law and mu_atoms")
         object.__setattr__(self, "n_law", n_law)
         en = expected_n(self)
         if not en > 1.0:
@@ -333,8 +309,9 @@ def check_iid_coefficients(spec: ModelSpec) -> bool:
 # ---------------------------------------------------------------------------
 
 def model_from_dict(data) -> ModelSpec:
-    """The model of a parsed JSON document; ValueError when the document is
-    not an object with an integer dim, or an entry is malformed."""
+    """The compiled model of a parsed JSON document, the one reader of its
+    declaration style; ValueError when the document is not an object with
+    an integer dim, or an entry is malformed."""
     if not isinstance(data, dict):
         raise ValueError("a model is a JSON object")
     kind = data.get("kind")
@@ -342,33 +319,30 @@ def model_from_dict(data) -> ModelSpec:
     if isinstance(dim, bool) or not isinstance(dim, int):
         raise ValueError(f"dim must be an integer, got {dim!r}")
     try:
-        if kind == KIND_EXPLICIT:
-            atoms = tuple(
+        if kind == "ExplicitAtoms":
+            return ModelSpec(dim=dim, atoms=tuple(
                 (a["prob"],
                  tuple(np.array(m, dtype=float) for m in a["branch"]))
                 for a in data["atoms"]
-            )
-            return ModelSpec(dim=dim, kind=kind, atoms=atoms)
-        if kind == KIND_IID:
+            ))
+        if kind == "IIDCoefficients":
             return ModelSpec(
                 dim=dim,
-                kind=kind,
                 n_law=tuple((a["n"], a["prob"]) for a in data["n_law"]),
                 mu_atoms=tuple(
                     (a["prob"], np.array(a["matrix"], dtype=float))
                     for a in data["mu_atoms"]
                 ),
             )
-        if kind == KIND_SCALAR:
-            return ModelSpec(
-                dim=dim,
-                kind=kind,
-                base_branch=tuple(
-                    np.array(m, dtype=float) for m in data["base_branch"]
-                ),
-                scalar_law=tuple((a["prob"], a["value"])
-                                 for a in data["scalar_law"]),
-            )
+        if kind == "ScalarRandomized":
+            # ModelSpec checks the scaled branches and the probabilities
+            base = [np.array(m, dtype=float) for m in data["base_branch"]]
+            law = tuple((float(a["prob"]), float(a["value"]))
+                        for a in data["scalar_law"])
+            if not all(0 < x < np.inf for _, x in law):
+                raise ValueError("scalar_law values must be positive and finite")
+            return ModelSpec(dim=dim, atoms=tuple(
+                (p, tuple(x * m for m in base)) for p, x in law))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed {kind} entry: {exc!r}") from exc
     raise ValueError(f"unknown model kind {kind!r}")

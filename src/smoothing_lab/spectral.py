@@ -23,7 +23,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import _common
-from ._common import as_generator, spawn_generators
+from ._common import (DEFAULT_ELEMENT_BUDGET, as_generator, charge_budget,
+                      resolve_budget, spawn_generators)
 from .errors import (
     FurstenbergKestenViolated,
     NoConvergence,
@@ -171,6 +172,24 @@ def lyapunov_estimate(spec: ModelSpec, n: int = 1000, trials: int = 10_000,
     return float(logs.mean()), sd / np.sqrt(trials)
 
 
+def _bisect(f, lo: float, hi: float, xtol: float, ftol: float = 0.0) -> float:
+    """Root of f on [lo, hi], where f(lo) < 0 <= f(hi): the first midpoint
+    with |f| <= ftol, else the midpoint of the first bracket narrower than
+    xtol, after at most 200 halvings."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        v = f(mid)
+        if abs(v) <= ftol:
+            return float(mid)
+        if v < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < xtol:
+            break
+    return float(0.5 * (lo + hi))
+
+
 def find_alpha(spec: ModelSpec, *, n: int = 64, trials: int = 40_000,
                seed=0) -> float:
     """Root of m(s) = 1 on (0, 1] with a negative-slope requirement.
@@ -208,17 +227,8 @@ def find_alpha(spec: ModelSpec, *, n: int = 64, trials: int = 40_000,
     hi_idx = below[0]
     if hi_idx == 0:
         raise WitnessNotFound("m(s) <= 1 already at the left edge")
-    lo, hi = grid[hi_idx - 1], grid[hi_idx]
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        v = m_hat(mid)
-        if abs(v - 1.0) <= _ALPHA_TOL and hi - lo < 1e-6:
-            break
-        if v > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    alpha = 0.5 * (lo + hi)
+    alpha = _bisect(lambda s: 1.0 - m_hat(s), grid[hi_idx - 1], grid[hi_idx],
+                    xtol=1e-6)
     if abs(m_hat(alpha) - 1.0) > _ALPHA_TOL:
         raise WitnessNotFound("bisection failed to pin the root")
     if not slope_ok(alpha):
@@ -331,10 +341,13 @@ def discretize_transfer(spec: ModelSpec, s: float,
     Requires P[N = 1] > 0.  For the kernel to stay bounded every conditioned
     atom must map the whole simplex away from zero (guaranteed by a strictly
     positive entry ratio bound, and exactly equivalent to every column of
-    the atom having a positive sum).
+    the atom having a positive sum).  grid_size is charged against the
+    element budget before anything is allocated.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
+    charge_budget(grid_size, resolve_budget(DEFAULT_ELEMENT_BUDGET),
+                  "transfer grid")
     atoms = conditioned_a1_atoms(spec)
     mats = tuple(tuple(a.ravel().tolist()) for _, a in atoms)
     idx, w, norms = _transfer_geometry(spec.dim, grid_size, mats)
@@ -394,18 +407,7 @@ def critical_exponent(spec: ModelSpec, tol: float = 1e-9,
         hi *= 2.0
         if hi > _A_MAX:
             raise RootNotBracketed(f"no root below a_max = {_A_MAX}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g = gap(mid)
-        if abs(g) <= tol:
-            return float(mid)
-        if g < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14:
-            break
-    return float(0.5 * (lo + hi))
+    return _bisect(gap, lo, hi, xtol=1e-14, ftol=tol)
 
 
 # ---------------------------------------------------------------------------

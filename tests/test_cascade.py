@@ -22,7 +22,7 @@ def test_iterate_pool_fixes_zero(ex1):
 
 def test_iterate_pool_scalar_fixed_point():
     half = np.array([[0.5]])
-    spec = sl.ModelSpec(dim=1, kind="ExplicitAtoms", atoms=((1.0, (half, half)),))
+    spec = sl.ModelSpec(dim=1, atoms=((1.0, (half, half)),))
     pool = sl.constant_pool(np.array([1.0]), 50)
     new = sl.iterate_pool(spec, pool, seed=8)
     assert np.array_equal(new.samples, pool.samples)
@@ -79,6 +79,18 @@ def test_run_fixed_point_zero_rounds(ex1):
     pool, history = sl.run_fixed_point(ex1, k=10, rounds=0, init=[1.0, 2.0], seed=0)
     assert np.array_equal(pool.samples, np.tile([1.0, 2.0], (10, 1)))
     assert history.shape == (1,)
+
+
+def test_run_fixed_point_initial_pool_replaces_init(ex1):
+    start = sl.constant_pool([0.4, 0.6], 10)
+    pool, _ = sl.run_fixed_point(ex1, k=10, rounds=1, initial_pool=start)
+    assert pool.size == 10
+    with pytest.raises(ValueError):  # a pool of another size than k
+        sl.run_fixed_point(ex1, k=10, rounds=1,
+                           initial_pool=sl.constant_pool([0.4, 0.6], 1000))
+    with pytest.raises(ValueError):  # a pool and an init vector
+        sl.run_fixed_point(ex1, k=10, rounds=1, init=[1.0, 2.0],
+                           initial_pool=start)
 
 
 def test_run_fixed_point_preserves_mean_direction(ex1):
@@ -152,7 +164,7 @@ def critical_model(name, request):
     spec = request.getfixturevalue(name)
     if name != "ex3":
         return spec
-    return sl.ModelSpec(dim=2, kind="ExplicitAtoms", atoms=tuple(
+    return sl.ModelSpec(dim=2, atoms=tuple(
         (p, tuple(m * 4 / 3 for m in br)) for p, br in spec.atoms))
 
 
@@ -270,13 +282,28 @@ def test_martingale_node_budget(ex1, monkeypatch):
 
 
 def test_martingale_node_budget_counts_leaves(ex1, monkeypatch):
-    # depth 3 has 1 + 2 + 4 + 8 = 15 nodes; the leaf level is never built
-    monkeypatch.setenv("SMOOTHING_LAB_BUDGET", "14")
-    with pytest.raises(SupercriticalBlowup):
-        sl.martingale_samples(ex1, depth=3, trials=1, seed=0)
-    monkeypatch.setenv("SMOOTHING_LAB_BUDGET", "15")
-    w = sl.martingale_samples(ex1, depth=3, trials=1, seed=0)
+    # the node budget is 50 times the setting, so setting 1 allows 50 nodes:
+    # depth 4 has 1 + 2 + 4 + 8 + 16 = 31 and depth 5 has 63; the leaf
+    # level is never built
+    monkeypatch.setenv("SMOOTHING_LAB_BUDGET", "1")
+    w = sl.martingale_samples(ex1, depth=4, trials=1, seed=0)
     assert w.shape == (1, 2)
+    with pytest.raises(SupercriticalBlowup):
+        sl.martingale_samples(ex1, depth=5, trials=1, seed=0)
+
+
+def test_budget_setting_never_lowers_a_budget(ex1, monkeypatch):
+    # the setting is the element budget; the node budget scales with it, so
+    # a setting above the default element budget keeps a default-sized tree
+    w = sl.martingale_samples(ex1, depth=18, trials=1, seed=0)
+    monkeypatch.setenv("SMOOTHING_LAB_BUDGET", "300000")
+    assert np.array_equal(sl.martingale_samples(ex1, depth=18, trials=1,
+                                                seed=0), w)
+    assert _common.resolve_budget(_common.DEFAULT_ELEMENT_BUDGET) == 300_000
+    assert _common.resolve_budget(_common.DEFAULT_NODE_BUDGET) == 15_000_000
+    # the default element budget as the setting gives every default
+    monkeypatch.setenv("SMOOTHING_LAB_BUDGET", "200000")
+    assert _common.resolve_budget(_common.DEFAULT_NODE_BUDGET) == 10_000_000
 
 
 def test_martingale_deterministic(ex1):

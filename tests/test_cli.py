@@ -227,6 +227,15 @@ def test_budget_exit_code(tmp_path, monkeypatch):
     assert rc == 4
 
 
+def test_oversized_transfer_grid_exit_code(tmp_path):
+    rc = main(["spectrum", "--model", "ex3", "--seed", "1", "--trials", "500",
+               "--lyap-n", "50", "--lyap-trials", "500",
+               "--out-prefix", str(tmp_path / "gs"),
+               "--grid-size", "1000000000000"])
+    assert rc == 4
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-5"])
 def test_bad_budget_exit_code(tmp_path, monkeypatch, capsys, value):
     monkeypatch.setenv("SMOOTHING_LAB_BUDGET", value)

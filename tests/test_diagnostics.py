@@ -235,8 +235,7 @@ def test_kill_counts_scale_invariant(ex2):
 def iid3_model():
     mats = np.random.default_rng(3).uniform(0.0, 1.0, size=(3, 3, 3))
     mats[0, 1] = 0.0   # a zero row: some probes die on this matrix
-    return sl.ModelSpec(dim=3, kind="IIDCoefficients",
-                        n_law=((1, 0.2), (2, 0.5), (3, 0.3)),
+    return sl.ModelSpec(dim=3, n_law=((1, 0.2), (2, 0.5), (3, 0.3)),
                         mu_atoms=tuple(zip((0.5, 0.3, 0.2), mats)))
 
 

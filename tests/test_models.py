@@ -8,7 +8,7 @@ import pytest
 import smoothing_lab as sl
 from smoothing_lab._common import as_generator
 from smoothing_lab.errors import NoSingletonBranch
-from smoothing_lab.models import BranchTable
+from smoothing_lab.models import BranchTable, model_from_dict
 
 from conftest import A1, A2
 
@@ -157,22 +157,17 @@ def test_branch_table_entry_stack(ex2, ex3):
 
 def test_validation_rejects_bad_specs():
     with pytest.raises(ValueError):  # probabilities must sum to one
-        sl.ModelSpec(dim=2, kind="ExplicitAtoms",
-                     atoms=((0.5, (A1,)), (0.4, (A2, A2))))
+        sl.ModelSpec(dim=2, atoms=((0.5, (A1,)), (0.4, (A2, A2))))
     with pytest.raises(ValueError):  # E[N] must exceed one
-        sl.ModelSpec(dim=2, kind="ExplicitAtoms", atoms=((1.0, (A1,)),))
+        sl.ModelSpec(dim=2, atoms=((1.0, (A1,)),))
     with pytest.raises(ValueError):  # zero matrix forbidden
-        sl.ModelSpec(dim=2, kind="ExplicitAtoms",
-                     atoms=((1.0, (A1, np.zeros((2, 2)))),))
+        sl.ModelSpec(dim=2, atoms=((1.0, (A1, np.zeros((2, 2)))),))
     with pytest.raises(ValueError):  # empty branch means N = 0
-        sl.ModelSpec(dim=2, kind="ExplicitAtoms",
-                     atoms=((0.5, ()), (0.5, (A1, A2))))
+        sl.ModelSpec(dim=2, atoms=((0.5, ()), (0.5, (A1, A2))))
     with pytest.raises(ValueError):  # negative entries
-        sl.ModelSpec(dim=2, kind="ExplicitAtoms",
-                     atoms=((1.0, (-A1, A2)),))
+        sl.ModelSpec(dim=2, atoms=((1.0, (-A1, A2)),))
     with pytest.raises(ValueError):  # n_law with N = 0
-        sl.ModelSpec(dim=2, kind="IIDCoefficients",
-                     n_law=((0, 0.5), (3, 0.5)),
+        sl.ModelSpec(dim=2, n_law=((0, 0.5), (3, 0.5)),
                      mu_atoms=((1.0, A1),))
 
 
@@ -200,8 +195,7 @@ def test_furstenberg_kesten(ex1, ex2, ex3):
     holds, c = sl.check_furstenberg_kesten(ex2)
     assert holds and c == pytest.approx(1.0)
     with_id = sl.ModelSpec(
-        dim=2, kind="ExplicitAtoms",
-        atoms=((0.5, (np.eye(2),)), (0.5, (A1, A2))),
+        dim=2, atoms=((0.5, (np.eye(2),)), (0.5, (A1, A2))),
     )
     holds, c = sl.check_furstenberg_kesten(with_id)
     assert not holds and c == np.inf
@@ -228,7 +222,7 @@ def test_iid_check(ex1, ex2, ex3):
     for a in (A1, A2):
         for b in (A1, A2):
             atoms.append((0.25, (a, b)))
-    flat = sl.ModelSpec(dim=2, kind="ExplicitAtoms", atoms=tuple(atoms))
+    flat = sl.ModelSpec(dim=2, atoms=tuple(atoms))
     assert sl.check_iid_coefficients(flat)
 
 
@@ -236,15 +230,15 @@ def test_iid_check(ex1, ex2, ex3):
 def test_mu_law_merge_is_scale_invariant(ex3, scale):
     # the merge and the i.i.d. mass lookup compare matrices relative to their
     # size, so scaling every matrix changes no atom count
-    scaled = sl.ModelSpec(dim=2, kind="ExplicitAtoms", atoms=tuple(
+    scaled = sl.ModelSpec(dim=2, atoms=tuple(
         (p, tuple(scale * m for m in br)) for p, br in ex3.atoms))
     assert len(sl.mu_atom_law(scaled)) == 2
     assert len(sl.conditioned_a1_atoms(scaled)) == 2
-    flat = sl.ModelSpec(dim=2, kind="ExplicitAtoms", atoms=tuple(
+    flat = sl.ModelSpec(dim=2, atoms=tuple(
         (0.25, (scale * a, scale * b)) for a in (A1, A2) for b in (A1, A2)))
     assert sl.check_iid_coefficients(flat)
     # matrices that differ in a leading digit stay apart at every scale
-    near = sl.ModelSpec(dim=2, kind="ExplicitAtoms", atoms=(
+    near = sl.ModelSpec(dim=2, atoms=(
         (1.0, (scale * A1, scale * A1 * (1 + 1e-9))),))
     assert len(sl.mu_atom_law(near)) == 2
 
@@ -254,45 +248,72 @@ STYLE_FIELDS = {"kind", "base_branch", "scalar_law"}
 
 def style_reads(node, where=""):
     """The qualified name of the def around each read of a declaration-style
-    field (x.kind, x.base_branch, x.scalar_law) or a KIND_* constant."""
+    field (x.kind, x.base_branch, x.scalar_law), its JSON key ("kind",
+    "base_branch", "scalar_law") or a KIND_* constant."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
         where = f"{where}.{node.name}" if where else node.name
-    if isinstance(getattr(node, "ctx", None), ast.Load) and (
-            isinstance(node, ast.Attribute) and node.attr in STYLE_FIELDS
-            or isinstance(node, ast.Name) and node.id.startswith("KIND_")):
+    if (isinstance(node, ast.Constant) and node.value in STYLE_FIELDS
+            or isinstance(getattr(node, "ctx", None), ast.Load) and (
+                isinstance(node, ast.Attribute) and node.attr in STYLE_FIELDS
+                or isinstance(node, ast.Name)
+                and node.id.startswith("KIND_"))):
         yield where
     for child in ast.iter_child_nodes(node):
         yield from style_reads(child, where)
 
 
 def test_declaration_style_is_read_only_at_construction():
-    # every derived law reads the compiled form: the style is read only where
-    # a model file is parsed and where ModelSpec compiles it
+    # every derived law reads the compiled form: the style is read only
+    # where a model file is parsed
     readers = {(path.stem, where)
                for path in sorted(Path(sl.__file__).parent.glob("*.py"))
                for where in style_reads(ast.parse(path.read_text("utf-8")))}
-    assert readers == {("models", "ModelSpec.__post_init__"),
-                       ("models", "model_from_dict")}, sorted(readers)
+    assert readers == {("models", "model_from_dict")}, sorted(readers)
+
+
+def test_spec_takes_atoms_or_an_iid_law():
+    iid = {"n_law": ((2, 1.0),), "mu_atoms": ((1.0, A1),)}
+    atoms = ((1.0, (A1, A2)),)
+    assert sl.ModelSpec(dim=2, atoms=atoms).n_law == ((2, 1.0),)
+    assert sl.ModelSpec(dim=2, **iid).atoms is None
+    for bad in ({"atoms": atoms, "n_law": iid["n_law"]},
+                {"atoms": atoms, "mu_atoms": iid["mu_atoms"]},
+                {"atoms": atoms, **iid},
+                {"n_law": iid["n_law"]},
+                {"mu_atoms": iid["mu_atoms"]},
+                {}):
+        with pytest.raises(ValueError):
+            sl.ModelSpec(dim=2, **bad)
+    with pytest.raises(TypeError):  # the style is not a field
+        sl.ModelSpec(dim=2, kind="ExplicitAtoms", atoms=atoms)
 
 
 def explicit_twin(spec):
-    return sl.ModelSpec(dim=spec.dim, kind="ExplicitAtoms", atoms=tuple(
+    return sl.ModelSpec(dim=spec.dim, atoms=tuple(
         (p, tuple(br)) for p, br in sl.explicit_atoms(spec)))
 
 
-def three_point_scalar():
-    return sl.ModelSpec(dim=2, kind="ScalarRandomized", base_branch=(A1, A2),
-                        scalar_law=((0.1, 0.5), (0.2, 1.0), (0.7, 1.5)))
+THREE_POINT_SCALAR = {
+    "dim": 2, "kind": "ScalarRandomized",
+    "base_branch": [A1.tolist(), A2.tolist()],
+    "scalar_law": [{"prob": 0.1, "value": 0.5}, {"prob": 0.2, "value": 1.0},
+                   {"prob": 0.7, "value": 1.5}],
+}
 
 
-@pytest.mark.parametrize("make", [lambda: sl.example_model("ex2"),
-                                  three_point_scalar], ids=["ex2", "p127"])
-def test_scalar_spec_matches_its_explicit_atoms(make):
-    # a scalar spec compiles to atoms, so it and the explicit spec of the
-    # same atoms give bit-identical derived laws
-    scalar = make()
+@pytest.mark.parametrize("data", [
+    json.loads(sl.example_path("ex2").read_text()), THREE_POINT_SCALAR,
+], ids=["ex2", "p127"])
+def test_scalar_spec_matches_its_explicit_atoms(data):
+    # the loader compiles a scalar file to the atoms (p, x * base), so it and
+    # the explicit spec of the same atoms give bit-identical derived laws
+    scalar = model_from_dict(data)
     twin = explicit_twin(scalar)
-    assert sl.expected_n(scalar) == float(len(scalar.base_branch))
+    base = [np.array(m) for m in data["base_branch"]]
+    for (p, br), a in zip(scalar.atoms, data["scalar_law"]):
+        assert p == a["prob"]
+        assert all(np.array_equal(m, a["value"] * b) for m, b in zip(br, base))
+    assert sl.expected_n(scalar) == float(len(base))
     assert sl.expected_n(scalar) == sl.expected_n(twin)
     for k in range(5):
         assert sl.prob_n_equals(scalar, k) == sl.prob_n_equals(twin, k)
@@ -311,10 +332,24 @@ def test_scalar_spec_matches_its_explicit_atoms(make):
                               getattr(twin.branch_table, name))
 
 
+@pytest.mark.parametrize("base_branch, scalar_law", [
+    ([], [{"prob": 1.0, "value": 2.0}]),
+    ([[[0.0, 0.0], [0.0, 0.0]]], [{"prob": 1.0, "value": 2.0}]),
+    ([A1.tolist(), A2.tolist()], [{"prob": 1.0, "value": 0.0}]),
+    ([A1.tolist(), A2.tolist()], [{"prob": 1.0, "value": -1.0}]),
+    ([A1.tolist(), A2.tolist()], [{"prob": 0.5, "value": 1.0}]),
+    ([A1.tolist(), A2.tolist()], [{"prob": 1.0}]),
+])
+def test_scalar_file_validation(base_branch, scalar_law):
+    with pytest.raises(ValueError):
+        model_from_dict({"dim": 2, "kind": "ScalarRandomized",
+                            "base_branch": base_branch,
+                            "scalar_law": scalar_law})
+
+
 def test_compiled_form(ex1, ex2, ex3):
     assert ex1.atoms is None and ex1.n_law == ((2, 1.0),)
-    assert ex2.n_law == ((3, 1.0),)
     assert [(p, len(br)) for p, br in ex2.atoms] == [(0.5, 3), (0.5, 3)]
-    assert all(np.array_equal(m, x * b) for (p, br), x in
-               zip(ex2.atoms, (0.25, 0.75)) for m, b in zip(br, ex2.base_branch))
-    assert ex3.n_law == tuple((len(br), p) for p, br in ex3.atoms)
+    assert sl.expected_n(ex2) == 3.0 and sl.prob_n_equals(ex2, 3) == 1.0
+    for spec in (ex2, ex3):
+        assert spec.n_law == tuple((len(br), p) for p, br in spec.atoms)

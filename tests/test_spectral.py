@@ -8,6 +8,7 @@ import smoothing_lab as sl
 from smoothing_lab import _common, spectral
 from smoothing_lab._common import as_generator, spawn_generators
 from smoothing_lab.errors import (
+    BudgetExceeded,
     FurstenbergKestenViolated,
     NoConvergence,
     NoSingletonBranch,
@@ -30,8 +31,7 @@ def b_model():
     """3-dim model with singleton branches B0 and B1: three chain atoms, so
     4-step words, and a two-atom conditioned law."""
     return sl.ModelSpec(
-        dim=3, kind="ExplicitAtoms",
-        atoms=((0.3, (B0,)), (0.2, (B1,)), (0.5, (B0, B1, B2))),
+        dim=3, atoms=((0.3, (B0,)), (0.2, (B1,)), (0.5, (B0, B1, B2))),
     )
 
 
@@ -65,8 +65,7 @@ def test_m_of_s(ex1, ex2):
 
 def test_lyapunov_identity_model():
     eye = np.eye(2)
-    spec = sl.ModelSpec(dim=2, kind="IIDCoefficients",
-                        n_law=((2, 1.0),), mu_atoms=((1.0, eye),))
+    spec = sl.ModelSpec(dim=2, n_law=((2, 1.0),), mu_atoms=((1.0, eye),))
     gamma, stderr = sl.lyapunov_estimate(spec, n=50, trials=100, seed=1)
     assert gamma == 0.0 and stderr == 0.0
 
@@ -93,8 +92,7 @@ def test_lyapunov_below_kappa_curve(ex1):
 def conditioned_chain_model(spec):
     """An i.i.d. model whose single-matrix law is the law of A_1 given N = 1
     under spec: kappa_estimate on it is the chain route to kappa_tilde."""
-    return sl.ModelSpec(dim=spec.dim, kind="IIDCoefficients",
-                        n_law=((1, 0.5), (2, 0.5)),
+    return sl.ModelSpec(dim=spec.dim, n_law=((1, 0.5), (2, 0.5)),
                         mu_atoms=tuple(sl.conditioned_a1_atoms(spec)))
 
 
@@ -177,8 +175,7 @@ def vanishing_model():
     """Products of the nilpotent atom with itself are the zero matrix."""
     nil = np.array([[0.0, 1.0], [0.0, 0.0]])
     other = np.array([[0.6, 0.2], [0.3, 0.5]])
-    return sl.ModelSpec(dim=2, kind="ExplicitAtoms",
-                        atoms=((0.5, (nil, nil)), (0.5, (nil, other))))
+    return sl.ModelSpec(dim=2, atoms=((0.5, (nil, nil)), (0.5, (nil, other))))
 
 
 def test_vanishing_chain_products_raise():
@@ -229,7 +226,7 @@ def test_find_alpha_interior_root_synthetic():
     # scaled generators: kappa(s) = ((0.12)^s + (0.18)^s)/2 exactly, so the
     # root of E[N] kappa(s) = 1 can be pinned by an independent bisection
     q = 0.3
-    spec = sl.ModelSpec(dim=2, kind="IIDCoefficients", n_law=((2, 1.0),),
+    spec = sl.ModelSpec(dim=2, n_law=((2, 1.0),),
                         mu_atoms=((0.5, q * A1), (0.5, q * A2)))
     oracle = brentq(lambda s: (0.12) ** s + (0.18) ** s - 1.0, 1e-6, 1.0)
     alpha = sl.find_alpha(spec, seed=34)
@@ -237,7 +234,7 @@ def test_find_alpha_interior_root_synthetic():
 
 
 def test_find_alpha_not_found():
-    spec = sl.ModelSpec(dim=2, kind="IIDCoefficients", n_law=((2, 1.0),),
+    spec = sl.ModelSpec(dim=2, n_law=((2, 1.0),),
                         mu_atoms=((0.5, 2 * A1), (0.5, 2 * A2)))
     with pytest.raises(WitnessNotFound):
         sl.find_alpha(spec, seed=35)
@@ -268,8 +265,7 @@ def test_transfer_scalar_atom():
     # singleton branch c * identity acts as multiplication by c^s
     c = 0.5
     spec = sl.ModelSpec(
-        dim=2, kind="ExplicitAtoms",
-        atoms=((0.5, (c * np.eye(2),)), (0.5, (A1, A2))),
+        dim=2, atoms=((0.5, (c * np.eye(2),)), (0.5, (A1, A2))),
     )
     disc = sl.discretize_transfer(spec, -1.0, grid_size=33)
     f = np.linspace(1.0, 2.0, 33)
@@ -300,9 +296,29 @@ def test_transfer_exact_on_affine_functions_3d(s, grid_size):
 def test_transfer_rejects_grid_size_below_two(ex3, dim, grid_size):
     # a 3-dim model used to get a 10-point grid for any grid_size below 2
     spec = ex3 if dim == 2 else sl.ModelSpec(
-        dim=3, kind="ExplicitAtoms", atoms=((0.5, (B0,)), (0.5, (B1, B2))))
+        dim=3, atoms=((0.5, (B0,)), (0.5, (B1, B2))))
     with pytest.raises(ValueError, match="grid_size"):
         sl.discretize_transfer(spec, -1.0, grid_size=grid_size)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_transfer_grid_is_charged_before_any_allocation(ex3, dim, monkeypatch):
+    # a grid of 1e12 points used to reach numpy's allocator and fail untyped
+    spec = ex3 if dim == 2 else sl.ModelSpec(
+        dim=3, atoms=((0.5, (B0,)), (0.5, (B1, B2))))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="transfer grid"):
+            sl.discretize_transfer(spec, -1.0, grid_size=10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16, peak
+    # the grid size is charged against the element budget
+    monkeypatch.setenv("SMOOTHING_LAB_BUDGET", "64")
+    sl.discretize_transfer(spec, -1.0, grid_size=64)
+    with pytest.raises(BudgetExceeded):
+        sl.discretize_transfer(spec, -1.0, grid_size=65)
 
 
 def test_transfer_requires_singleton_branch(ex1):
@@ -313,8 +329,7 @@ def test_transfer_requires_singleton_branch(ex1):
 def test_transfer_rejects_zero_column_atom():
     bad = np.array([[1.0, 0.0], [0.0, 0.0]])
     spec = sl.ModelSpec(
-        dim=2, kind="ExplicitAtoms",
-        atoms=((0.5, (bad,)), (0.5, (A1, A2))),
+        dim=2, atoms=((0.5, (bad,)), (0.5, (A1, A2))),
     )
     with pytest.raises(FurstenbergKestenViolated):
         sl.discretize_transfer(spec, -1.0, grid_size=16)
@@ -453,8 +468,7 @@ def test_transfer_eigen_raises_when_adjoint_stalls():
     # budget one more adjoint step still moves the eigenmeasure by ~1e-6; the
     # adjoint runs when the eigenmeasure is read
     a = np.array([[1.0, 1e-5], [1e-5, 1.0]])
-    spec = sl.ModelSpec(dim=2, kind="ExplicitAtoms",
-                        atoms=((0.5, (a,)), (0.5, (a, a, a))))
+    spec = sl.ModelSpec(dim=2, atoms=((0.5, (a,)), (0.5, (a, a, a))))
     disc = sl.transfer_eigen(sl.discretize_transfer(spec, -0.5, grid_size=64))
     with pytest.raises(NoConvergence):
         disc.eigenmeasure
@@ -476,8 +490,7 @@ def test_critical_exponent_scalar_closed_form():
     # growth rate c^(-a), root at a = log(2) / log(4) = 1/2
     c, p = 0.25, 0.5
     spec = sl.ModelSpec(
-        dim=2, kind="ExplicitAtoms",
-        atoms=((p, (c * np.eye(2),)), (1 - p, (A1, A2))),
+        dim=2, atoms=((p, (c * np.eye(2),)), (1 - p, (A1, A2))),
     )
     a0 = sl.critical_exponent(spec, tol=1e-12)
     assert a0 == pytest.approx(0.5, abs=1e-9)

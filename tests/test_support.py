@@ -24,8 +24,7 @@ def iid_spec(gens):
     """The i.i.d. model with N = 2 and a uniform single-matrix law over gens,
     whose semigroup generators are gens in order."""
     gens = [np.asarray(g, dtype=float) for g in gens]
-    return sl.ModelSpec(dim=gens[0].shape[0], kind="IIDCoefficients",
-                        n_law=((2, 1.0),),
+    return sl.ModelSpec(dim=gens[0].shape[0], n_law=((2, 1.0),),
                         mu_atoms=tuple((1 / len(gens), g) for g in gens))
 
 
@@ -460,7 +459,7 @@ def test_witnesses_unit_radius_model():
     # radius is exactly one at every product depth: the search must come back
     # empty-handed on both strict sides
     half = 0.5 * (A1 + A2)
-    spec = sl.ModelSpec(dim=2, kind="ExplicitAtoms", atoms=((1.0, (half, half)),))
+    spec = sl.ModelSpec(dim=2, atoms=((1.0, (half, half)),))
     with pytest.raises(WitnessNotFound):
         sl.find_l1_l2(spec, depth_budget=4)
 
