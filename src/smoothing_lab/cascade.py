@@ -6,9 +6,12 @@ with replacement from the previous pool.  The tree sampler grows the
 weighted branching tree explicitly and is unbiased at finite depth for
 models whose mean matrix has unit spectral radius.  Both draw from the
 model's branch table and sum its row gather over each parent's edges (one
-edge fold).  A forest is kept as narrow atom ids and tree offsets per
-level, and the martingale folds it leaves-up a block of whole trees at a
-time, so its memory is bounded by BLOCK_BYTES, not by the tree chunk.
+edge fold, into an output and scratch that its caller keeps).  The pool
+round folds a block of parents at a time, and a forest is kept as narrow
+atom ids and tree offsets per level, which the martingale folds leaves-up
+a block of whole trees at a time and survival_counts walks depth first.
+So the working sets are bounded by BLOCK_BYTES, not by k E[N] or by the
+widest level.
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ from . import _common
 from ._common import (
     DEFAULT_NODE_BUDGET,
     as_generator,
+    charge_budget,
     open_replacing,
     resolve_budget,
     spawn_generators,
@@ -77,18 +81,31 @@ def heavy_tail_pool(spec: ModelSpec, k: int, tail_index: float,
 
     Regularly varying initial conditions are the basin of the fixed point
     when the mean matrix has spectral radius below one (the point-mass
-    iteration then collapses to zero in probability).
+    iteration then collapses to zero in probability).  k is charged against
+    the node budget before anything is allocated.
     """
     if not 0 < tail_index:
         raise ValueError("tail_index must be positive")
+    charge_budget(k, resolve_budget(DEFAULT_NODE_BUDGET), "pool size k")
     rng = as_generator(seed)
     direction = pf_decompose(mean_sum_matrix(spec))
     w = rng.uniform(size=k) ** (-1.0 / tail_index)
     return SamplePool(dim=spec.dim, samples=w[:, None] * direction[None, :])
 
 
-def iterate_pool(spec: ModelSpec, pool: SamplePool, seed) -> SamplePool:
+def iterate_pool(spec: ModelSpec, pool: SamplePool, seed, out=None,
+                 scratch=None) -> SamplePool:
     """One smoothing round over the pool; deterministic given the seed.
+
+    All k atoms are drawn first.  Then, one block of parents at a time, the
+    block's picks (its resampled children) are drawn, gathered and folded
+    into the block's columns of the new pool, so the round holds one
+    block's children, about BLOCK_BYTES, and not all k E[N] of them.  The
+    picks are one Philox stream drawn in block order, so the pool does not
+    depend on the block size.  The new samples are out.T for a (dim, k)
+    `out`, and `scratch` (from `_pool_scratch`) holds the block's
+    temporaries; run_fixed_point passes both and reuses them every round.
+    Neither may share memory with the pool.
 
     Resampling is with replacement and value-independent, so iterating from
     c * pool with the same seed yields exactly c times the iterated pool.
@@ -97,14 +114,35 @@ def iterate_pool(spec: ModelSpec, pool: SamplePool, seed) -> SamplePool:
         raise ValueError("pool dimension does not match the model")
     rng = as_generator(seed)
     table = spec.branch_table
-    k = pool.size
-    # bound to the end of the round: freed early, it let the heap shrink and
-    # each round fault its pages in again (12x the faults on ex2, k = 50k)
-    atom = table.draw(rng, k)
-    ids, starts = _edges(table, atom)
-    picks = rng.integers(0, k, size=ids.size)
-    new = _fold(table, ids, starts, np.take(pool.samples.T, picks, axis=1)).T
-    return SamplePool(dim=spec.dim, samples=new, generation=pool.generation + 1)
+    d, k = spec.dim, pool.size
+    if out is None:
+        out = np.empty((d, k))
+    floats, edge_ids = _pool_scratch(table, d, k) if scratch is None else scratch
+    cap = edge_ids.size                        # edges a block may hold
+    per = cap // table.sizes.max()             # parents per block
+    # np.take would copy a strided (C-order) pool again in every block
+    samples = np.ascontiguousarray(pool.samples.T)
+    atom = np.empty(k, dtype=np.min_scalar_type(table.sizes.size - 1))
+    for p0 in range(0, k, per):
+        block = atom[p0:p0 + per]
+        block[:] = table.draw(rng, block.size)
+    for p0 in range(0, k, per):
+        ids, starts = _edges(table, atom[p0:p0 + per], edge_ids)
+        picks = rng.integers(0, k, size=ids.size)
+        child = floats[:d * ids.size].reshape(d, ids.size)
+        np.take(samples, picks, axis=1, out=child, mode="clip")
+        _fold(table, ids, starts, child, out[:, p0:p0 + per], floats[d * cap:])
+    return SamplePool(dim=d, samples=out.T, generation=pool.generation + 1)
+
+
+def _pool_scratch(table: BranchTable, d: int, k: int) -> tuple:
+    """Scratch of a k-sample pool round: floats for the child gather (d
+    rows) and the two fold rows, and the edge ids, of a block of parents
+    whose child gather holds at most BLOCK_BYTES even if each parent
+    draws the largest branch; at least one parent and at most k."""
+    most = int(table.sizes.max())
+    per = min(k, max(1, _common.BLOCK_BYTES // (8 * d * most)))
+    return np.empty((d + 2) * per * most), np.empty(per * most, dtype=np.int64)
 
 
 def run_fixed_point(spec: ModelSpec, k: int, rounds: int, init=None, seed=0,
@@ -114,12 +152,19 @@ def run_fixed_point(spec: ModelSpec, k: int, rounds: int, init=None, seed=0,
     Returns (pool, mean_norm_history); the history has rounds + 1 entries and
     starts with the initial pool.  An explicit initial_pool of k samples
     replaces init, and ValueError when it comes with init or with another
-    size.  OutOfRange as soon as a mean norm in the history is not finite.
+    size.  k is charged against the node budget before anything is
+    allocated.  OutOfRange as soon as a mean norm in the history is not
+    finite.
+
+    The rounds write into two (dim, k) arrays in turn and share one block
+    scratch, all allocated once, so a round allocates only its narrow atom
+    ids and one block's picks at a time; the initial pool is only read.
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
     if k < 1:
         raise ValueError("k must be >= 1")
+    charge_budget(k, resolve_budget(DEFAULT_NODE_BUDGET), "pool size k")
     if initial_pool is not None:
         if init is not None or initial_pool.size != k:
             raise ValueError("initial_pool takes the place of init and must "
@@ -130,9 +175,13 @@ def run_fixed_point(spec: ModelSpec, k: int, rounds: int, init=None, seed=0,
             init = pf_decompose(mean_sum_matrix(spec))
         pool = constant_pool(init, k)
     history = [_mean_norm(pool)]
-    streams = spawn_generators(seed, rounds)
-    for rng in streams:
-        pool = iterate_pool(spec, pool, rng)
+    scratch = _pool_scratch(spec.branch_table, spec.dim, k)
+    buffers = []
+    for r, rng in enumerate(spawn_generators(seed, rounds)):
+        if len(buffers) < 2:  # the second once round one has let go its input
+            buffers.append(np.empty((spec.dim, k)))
+        pool = iterate_pool(spec, pool, rng, out=buffers[r % 2],
+                            scratch=scratch)
         history.append(_mean_norm(pool))
     return pool, np.array(history)
 
@@ -190,27 +239,47 @@ def _grow_forest(table: BranchTable, depth: int, n_trees: int, rng,
     return levels, offsets
 
 
-def _edges(table: BranchTable, atom: np.ndarray):
-    """Matrix id of every child edge of a level, and each parent's first edge."""
+def _edges(table: BranchTable, atom: np.ndarray, out=None):
+    """Matrix id of every child edge of a level, and each parent's first edge.
+
+    Each edge's id is one more than the one before it, except at a parent's
+    first edge, which starts that atom's branch; the ids are the running sum
+    of those steps, written into the head of `out` when it is given.
+    """
     counts = table.sizes[atom]
     starts = np.cumsum(counts) - counts
-    ids = np.arange(starts[-1] + counts[-1]) + np.repeat(
-        table.offsets[atom] - starts, counts)
+    n = starts[-1] + counts[-1]
+    ids = np.empty(n, dtype=np.int64) if out is None else out[:n]
+    ids.fill(1)
+    first = table.offsets[atom]
+    ids[0] = first[0]
+    ids[starts[1:]] = first[1:] - first[:-1] - counts[:-1] + 1
+    np.cumsum(ids, out=ids)
     return ids, starts
 
 
 def _fold(table: BranchTable, ids: np.ndarray, starts: np.ndarray,
-          child: np.ndarray) -> np.ndarray:
-    """Per parent, the sum over its edges e of mats[ids[e]] @ child[:, e].
+          child: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Into out[:, p], per parent p, the sum over its edges e of
+    mats[ids[e]] @ child[:, e].
 
-    child holds one column per edge and the result one column per parent;
-    each row is gathered and summed on its own, so only one row of edge
-    products is held at a time.
+    child holds one column per edge and out one column per parent.  Each row
+    is gathered entry by entry and summed in the first 2 * ids.size entries
+    of scratch, so a fold allocates nothing of edge size; its callers keep
+    out and scratch across folds, so their pages are not faulted in again.
+    The ids are in range; mode="clip" lets np.take write straight into its
+    output instead of a buffer.
     """
-    out = np.empty((child.shape[0], starts.size))
+    n = ids.size
+    acc, term = scratch[:n], scratch[n:2 * n]
     for i in range(child.shape[0]):
-        out[i] = np.add.reduceat(table.row(i, ids, child), starts)
-    return out
+        np.take(table.cols[i, 0], ids, out=acc, mode="clip")
+        acc *= child[0]
+        for j in range(1, child.shape[0]):
+            np.take(table.cols[i, j], ids, out=term, mode="clip")
+            term *= child[j]
+            acc += term
+        np.add.reduceat(acc, starts, out=out[i])
 
 
 def martingale_samples(spec: ModelSpec, depth: int, trials: int,
@@ -223,8 +292,10 @@ def martingale_samples(spec: ModelSpec, depth: int, trials: int,
 
     The leaf level is never built: a depth-(n-1) node that draws atom b
     contributes Y_b v, with Y_b its branch sum.  Each level above is folded
-    into its parents by the same edge gather as the pool round, a block of
-    whole trees at a time, so each parent sums its edges as a whole fold.
+    into its parents by the same edge fold as the pool round, a block of
+    whole trees (about BLOCK_BYTES of deepest-node vectors) at a time, so
+    each parent sums its edges as a whole fold.  The level buffers and the
+    fold scratch are kept across blocks and chunks.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -239,8 +310,11 @@ def martingale_samples(spec: ModelSpec, depth: int, trials: int,
         return np.tile(v, (trials, 1))
     table = spec.branch_table
     leaf_sums = (table.sums @ v).T.copy()         # column b is Y_b v
-    step = _common.BLOCK_BYTES // 8
-    out = np.empty((trials, spec.dim))
+    d = spec.dim
+    step = _common.BLOCK_BYTES // (8 * d)      # deepest nodes per block
+    out = np.empty((trials, d))
+    # two (d, nodes) level buffers and the fold's two rows, and the edge ids
+    work, edge_ids = np.empty(0), np.empty(0, dtype=np.int64)
     n_chunks = (trials + _TREE_CHUNK - 1) // _TREE_CHUNK
     streams = spawn_generators(seed, n_chunks)
     done = 0
@@ -250,13 +324,25 @@ def martingale_samples(spec: ModelSpec, depth: int, trials: int,
         ends, t0 = offsets[-1], 0
         while t0 < chunk:  # whole trees: at most step deepest nodes, or one
             t1 = max(t0 + 1, ends.searchsorted(ends[t0] + step, "right") - 1)
-            vecs = leaf_sums[:, levels[-1][ends[t0]:ends[t1]]]  # (d, nodes)
+            n = ends[t1] - ends[t0]     # the deepest level is the widest
+            if edge_ids.size < n:
+                edge_ids = np.empty(max(n, min(step, ends[-1])), dtype=np.int64)
+                work = np.empty((2 * d + 2) * edge_ids.size)
+            cap = edge_ids.size
+            a, b = work[:d * cap], work[d * cap:2 * d * cap]
+            vecs = a[:d * n].reshape(d, n)
+            np.take(leaf_sums, levels[-1][ends[t0]:ends[t1]], axis=1,
+                    out=vecs, mode="clip")
             for atom, off in zip(levels[-2::-1], offsets[-2::-1]):
-                ids, starts = _edges(table, atom[off[t0]:off[t1]])
-                vecs = _fold(table, ids, starts, vecs)
+                ids, starts = _edges(table, atom[off[t0]:off[t1]], edge_ids)
+                a, b = b, a
+                folded = a[:d * starts.size].reshape(d, starts.size)
+                _fold(table, ids, starts, vecs, folded, work[2 * d * cap:])
+                vecs = folded
             out[done + t0:done + t1] = vecs.T
             t0 = t1
         done += chunk
+        del levels, offsets     # before the next forest grows beside it
     return out
 
 
@@ -265,7 +351,10 @@ def survival_counts(spec: ModelSpec, probes, depth: int, seed) -> np.ndarray:
 
     Returns an integer array of shape (depth + 1, n_probes) for one simulated
     tree; G_u^T t is declared nonzero when its L1 norm exceeds ZERO_TOL |t|.
-    A level's carriers are held whole; their alive test is taken in blocks.
+    The tree's atom ids are grown first.  Its carriers G_u^T are then walked
+    depth first, in blocks of about BLOCK_BYTES per level: children follow
+    their parents' order, so one cursor per level finds a block's atom ids.
+    Memory is then bounded by depth blocks, not by the widest level.
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     if not probes.any(axis=1).all():
@@ -275,16 +364,34 @@ def survival_counts(spec: ModelSpec, probes, depth: int, seed) -> np.ndarray:
     table = spec.branch_table
     levels, _ = _grow_forest(table, depth, 1, rng, budget)
     mats_t = table.mats.transpose(0, 2, 1)
+    step = max(1, _common.BLOCK_BYTES // (8 * spec.dim ** 2))
 
     thresholds = ZERO_TOL * np.abs(probes).sum(axis=1)
-    counts = np.empty((depth + 1, probes.shape[0]), dtype=np.int64)
-    # carriers[u] = G_u^T, propagated as G_(ui)^T = A_(ui)^T G_u^T
-    carriers = np.eye(spec.dim)[None, :, :]
-    counts[0] = _alive_counts(carriers, probes, thresholds)
-    for lvl, atom in enumerate(levels):
-        per_edge = np.repeat(carriers, table.sizes[atom], axis=0)
-        carriers = mats_t[_edges(table, atom)[0]] @ per_edge
-        counts[lvl + 1] = _alive_counts(carriers, probes, thresholds)
+    counts = np.zeros((depth + 1, probes.shape[0]), dtype=np.int64)
+    cursor = [0] * depth        # per level, its first node not yet in a block
+    stack = []                  # per level above the leaves: one open block
+
+    def push(carriers):
+        lvl = len(stack)
+        counts[lvl] += _alive_counts(carriers, probes, thresholds)
+        if lvl < depth:
+            atom = levels[lvl][cursor[lvl]:cursor[lvl] + len(carriers)]
+            cursor[lvl] += len(carriers)
+            stack.append([carriers, atom, np.cumsum(table.sizes[atom]), 0])
+
+    push(np.eye(spec.dim)[None, :, :])
+    while stack:
+        carriers, atom, ends, p0 = stack[-1]
+        if p0 == atom.size:
+            stack.pop()
+            continue
+        # the next parents whose children fill at most one block, or one
+        below = ends[p0 - 1] if p0 else 0
+        p1 = max(p0 + 1, ends.searchsorted(below + step, "right"))
+        stack[-1][3] = p1
+        # G_(ui)^T = A_(ui)^T G_u^T
+        per_edge = np.repeat(carriers[p0:p1], table.sizes[atom[p0:p1]], axis=0)
+        push(mats_t[_edges(table, atom[p0:p1])[0]] @ per_edge)
     return counts
 
 

@@ -219,11 +219,22 @@ def harmonic_moment(pool, b: float):
     return value, stable
 
 
+def _resampled_counts(counts, k: int, rng, size: int) -> np.ndarray:
+    """size draws of how many of k norms resampled with replacement fall
+    at or below each radius, given the nondecreasing counts of the pool's
+    own k norms there.  The resample's counts in the bins the radii cut
+    are Multinomial(k, bin fractions), so each draw is one multinomial
+    summed over the bins, with no resample built or sorted."""
+    bins = np.diff(counts, prepend=0, append=k)
+    return rng.multinomial(k, bins / k, size=size)[:, :-1].cumsum(axis=1)
+
+
 def small_ball_exponent(pool, eps_grid, seed=0):
     """(slope, (lo, hi)): regression of log P[|Z| <= eps] on log eps.
 
     EmptyTail when no sample falls below the largest grid value.  The
-    confidence interval is a bootstrap over pool resamples.
+    confidence interval is a bootstrap over pool resamples, each drawn as
+    its counts by `_resampled_counts`.
     """
     eps_grid = np.sort(np.asarray(eps_grid, dtype=float))
     if np.any(eps_grid <= 0):
@@ -246,14 +257,8 @@ def small_ball_exponent(pool, eps_grid, seed=0):
 
     slope = fit(counts[keep].astype(float))
     rng = as_generator(seed)
-    boots = []
-    for _ in range(_SMALL_BALL_BOOTSTRAPS):
-        resampled = rng.choice(norms, size=k, replace=True)
-        resampled.sort()
-        cb = np.searchsorted(resampled, eps_grid[keep], side="right")
-        if np.any(cb == 0):
-            continue
-        boots.append(fit(cb.astype(float)))
+    boots = [fit(cb.astype(float)) for cb in _resampled_counts(
+        counts[keep], k, rng, _SMALL_BALL_BOOTSTRAPS) if cb.all()]
     if boots:
         lo, hi = np.quantile(boots, [0.025, 0.975])
         ci = (float(min(lo, slope)), float(max(hi, slope)))

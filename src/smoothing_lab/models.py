@@ -67,9 +67,10 @@ def _check_branch(branch, dim: int, what: str) -> tuple:
 class BranchTable:
     """The joint branch law compiled into arrays: atom b, with probability
     probs[b], is the branch mats[offsets[b]:offsets[b] + sizes[b]] summing to
-    sums[b].  cols[i, j] = mats[:, i, j] is the entry stack that `row`
-    gathers from, and cdf the normalised cumulative probabilities that `draw`
-    inverts.  The arrays are read-only, since every reader shares them."""
+    sums[b].  cols[i, j] = mats[:, i, j] is the entry stack that `row` and
+    the samplers' edge fold gather from, and cdf the normalised cumulative
+    probabilities that `draw` inverts.  The arrays are read-only, since
+    every reader shares them."""
 
     probs: np.ndarray    # (B,)
     mats: np.ndarray     # (M, d, d)

@@ -8,7 +8,7 @@ import pytest
 import smoothing_lab as sl
 from smoothing_lab import _common, cascade
 from smoothing_lab._common import as_generator, spawn_generators
-from smoothing_lab.errors import SupercriticalBlowup
+from smoothing_lab.errors import BudgetExceeded, SupercriticalBlowup
 
 from conftest import A1, A2
 
@@ -62,6 +62,67 @@ def test_iterate_pool_matches_reference_loop(name, request):
         ref = np.array([sum(a @ old[next(picks)] for a in atoms[b][1])
                         for b in draws])
         assert np.allclose(new, ref, rtol=1e-13, atol=0.0)
+
+
+# BLOCK_BYTES // (8 * 2 * most) parents per block, most the largest branch
+# (3 for ex2, 2 for ex1 and ex3): 8 is one parent per block, 8 * 2 * 3 * 7
+# gives blocks of 7 (ex2) or 10 parents that do not divide k = 301, and
+# 1 << 40 folds the whole pool in one block
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
+def test_pool_blocks_match_default(name, request, monkeypatch):
+    spec = request.getfixturevalue(name)
+    pool, history = sl.run_fixed_point(spec, k=301, rounds=3, seed=17)
+    for block in (8, 8 * 2 * 3 * 7, 1 << 40):
+        monkeypatch.setattr(_common, "BLOCK_BYTES", block)
+        again, again_history = sl.run_fixed_point(spec, k=301, rounds=3,
+                                                  seed=17)
+        assert np.array_equal(again.samples, pool.samples)
+        assert np.array_equal(again_history, history)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_run_fixed_point_leaves_initial_pool_alone(ex2, order):
+    # the rounds write into buffers of their own, never into the caller's
+    samples = np.asarray(sl.heavy_tail_pool(ex2, 500, 1.5, seed=2).samples,
+                         order=order)
+    start = sl.SamplePool(dim=2, samples=samples)
+    kept = samples.copy()
+    for rounds in (1, 2, 3):
+        pool, _ = sl.run_fixed_point(ex2, k=500, rounds=rounds, seed=4,
+                                     initial_pool=start)
+        assert np.array_equal(start.samples, kept)
+        assert not np.shares_memory(pool.samples, samples)
+
+
+def test_pool_memory_is_bounded_by_the_block(ex2):
+    # holding every edge's ids, picks, child gather and row temporaries of
+    # a 200k ex2 round at once traced 36.6 MiB
+    tracemalloc.start()
+    try:
+        sl.run_fixed_point(ex2, k=200_000, rounds=3, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+
+
+def test_oversized_pool_is_refused_before_allocating(ex2, ex3, monkeypatch):
+    # 1e11 samples would need 1.46 TiB; the node budget refuses them first
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            sl.run_fixed_point(ex2, k=10**11, rounds=1, seed=0)
+        with pytest.raises(BudgetExceeded):
+            sl.heavy_tail_pool(ex3, 10**11, 0.6, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    # the node budget is 50 times the setting
+    monkeypatch.setenv("SMOOTHING_LAB_BUDGET", "1")
+    sl.run_fixed_point(ex2, k=50, rounds=1, seed=0)
+    with pytest.raises(BudgetExceeded):
+        sl.run_fixed_point(ex2, k=51, rounds=1, seed=0)
 
 
 def test_iterate_pool_samples_stay_in_cone(ex1):
@@ -209,17 +270,21 @@ def whole_chunk_martingale(spec, depth, trials, seed):
         vecs = leaf_sums[:, levels.pop()]
         while levels:
             ids, starts = cascade._edges(table, levels.pop())
-            vecs = cascade._fold(table, ids, starts, vecs)
+            folded = np.empty((spec.dim, starts.size))
+            cascade._fold(table, ids, starts, vecs, folded,
+                          np.empty(2 * ids.size))
+            vecs = folded
         out.append(vecs.T)
     return np.concatenate(out)
 
 
-# BLOCK_BYTES // 8 nodes per draw and fold block: 8 is one node per draw
-# and one tree per fold; an ex1 tree has 2048 nodes at depth 11, so 8 * 3000
-# folds one tree at a time with draws that straddle trees, 8 * 3 * 2048 ends
-# each block on a tree boundary and 8 * 50_000 folds 24 trees at a time
+# BLOCK_BYTES // 8 nodes per draw block and BLOCK_BYTES // 16 deepest nodes
+# per fold block (d = 2): 8 is one node per draw and one tree per fold; an
+# ex1 tree has 2048 nodes at depth 11, so 16 * 1500 folds one tree at a time
+# with draws that straddle trees, 16 * 3 * 2048 ends each fold block on a
+# tree boundary and 16 * 50_000 folds 24 trees at a time
 @pytest.mark.parametrize("name, depth, trials, blocks", [
-    ("ex1", 12, 600, (8 * 3000, 8 * 3 * 2048, 8 * 50_000)),
+    ("ex1", 12, 600, (16 * 1500, 16 * 3 * 2048, 16 * 50_000)),
     ("ex2", 6, 40, (8, 8 * 7)),
     ("ex3", 8, 40, (8, 8 * 7)),
 ])
@@ -243,8 +308,8 @@ def test_martingale_blocks_match_whole_chunk_fold(name, depth, trials, blocks,
 ])
 def test_survival_counts_blocks_match_default(name, depth, blocks, request,
                                               monkeypatch):
-    # 8 draws one node and tests one carrier at a time; 1 << 40 draws each
-    # level and tests its carriers in one block
+    # 8 draws one node and walks and tests one carrier at a time; 1 << 40
+    # draws each level and walks and tests its carriers in one block
     spec = critical_model(name, request)
     probes = sl.sphere_grid(2, 128)
     counts = sl.survival_counts(spec, probes, depth, seed=depth)
@@ -268,6 +333,17 @@ def test_tree_memory_is_bounded_by_the_block(ex1, ex2):
     finally:
         tracemalloc.stop()
     assert max(peaks) < 16 * 2**20, peaks
+
+
+def test_deep_survival_counts_memory_is_bounded_by_the_block(ex2):
+    # a whole level of carriers at a time traced 54.3 MiB at depth 12
+    tracemalloc.start()
+    try:
+        sl.survival_counts(ex2, sl.sphere_grid(2, 128), 12, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def test_martingale_requires_critical_mean(ex3):

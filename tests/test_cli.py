@@ -236,6 +236,16 @@ def test_oversized_transfer_grid_exit_code(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("init", [(), ("--init-tail-index", "0.6")])
+def test_oversized_pool_exit_code(tmp_path, init):
+    # charged against the node budget before the 1.46 TiB pool is allocated
+    rc = main(["simulate", "--model", "ex2", "--k", "100000000000",
+               "--rounds", "1", "--seed", "1", *init,
+               "--out", str(tmp_path / "pool.csv")])
+    assert rc == 4
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-5"])
 def test_bad_budget_exit_code(tmp_path, monkeypatch, capsys, value):
     monkeypatch.setenv("SMOOTHING_LAB_BUDGET", value)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import smoothing_lab as sl
-from smoothing_lab import _common
+from smoothing_lab import _common, diagnostics
 from smoothing_lab.diagnostics import harmonic_floor_table
 from smoothing_lab.errors import EmptyTail, InsufficientDecay
 
@@ -296,6 +296,33 @@ def test_small_ball_uniform_slope():
     slope, (lo, hi) = sl.small_ball_exponent(pool, np.geomspace(1e-3, 0.3, 8))
     assert slope == pytest.approx(1.0, abs=0.05)
     assert lo <= 1.0 <= hi
+
+
+def test_small_ball_resampled_counts_match_resampling():
+    # the bootstrap draws a resample's counts at the radii from one
+    # multinomial over the bins they cut; resampling the norms and counting
+    # them has the same law: per radius, mean k p and variance k p (1 - p)
+    rng = np.random.default_rng(21)
+    norms = np.sort(rng.exponential(size=400))
+    k = norms.size
+    eps = np.geomspace(0.01, 1.0, 6)
+    counts = np.searchsorted(norms, eps, side="right")
+    n = 4000
+    drawn = diagnostics._resampled_counts(counts, k, rng, n)
+    resampled = np.array([
+        np.searchsorted(np.sort(rng.choice(norms, size=k)), eps, side="right")
+        for _ in range(n)])
+    p = counts / k
+    for x in (drawn, resampled):
+        mean, var = x.mean(axis=0), x.var(axis=0, ddof=1)
+        # standard errors of the sample mean and of the sample variance
+        se_mean = np.sqrt(var / n)
+        se_var = np.sqrt((((x - mean) ** 4).mean(axis=0) - var ** 2) / n)
+        assert np.all(np.abs(mean - k * p) <= 4 * se_mean)
+        assert np.all(np.abs(var - k * p * (1 - p)) <= 4 * se_var)
+    se_diff = np.sqrt((drawn.var(axis=0) + resampled.var(axis=0)) / n)
+    assert np.all(np.abs(drawn.mean(axis=0) - resampled.mean(axis=0))
+                  <= 4 * se_diff)
 
 
 def test_small_ball_empty_tail():
