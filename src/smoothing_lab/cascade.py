@@ -5,13 +5,12 @@ every new sample is sum_i a_i z_i with a fresh branch draw and z_i resampled
 with replacement from the previous pool.  The tree sampler grows the
 weighted branching tree explicitly and is unbiased at finite depth for
 models whose mean matrix has unit spectral radius.  Both draw from the
-model's branch table and sum its row gather over each parent's edges (one
-edge fold, into an output and scratch that its caller keeps).  The pool
-round folds a block of parents at a time, and a forest is kept as narrow
-atom ids and tree offsets per level, which the martingale folds leaves-up
-a block of whole trees at a time and survival_counts walks depth first.
-So the working sets are bounded by BLOCK_BYTES, not by k E[N] or by the
-widest level.
+model's branch table and fold each parent's edges by its `row` gather into
+buffers that the caller keeps.  The pool round folds a block of parents at
+a time, and a forest is kept as narrow atom ids and tree offsets per level,
+which the martingale folds leaves-up a block of whole trees at a time and
+survival_counts walks depth first.  So the working sets are bounded by
+BLOCK_BYTES, not by k E[N] or by the widest level.
 """
 from __future__ import annotations
 
@@ -264,21 +263,14 @@ def _fold(table: BranchTable, ids: np.ndarray, starts: np.ndarray,
     mats[ids[e]] @ child[:, e].
 
     child holds one column per edge and out one column per parent.  Each row
-    is gathered entry by entry and summed in the first 2 * ids.size entries
-    of scratch, so a fold allocates nothing of edge size; its callers keep
-    out and scratch across folds, so their pages are not faulted in again.
-    The ids are in range; mode="clip" lets np.take write straight into its
-    output instead of a buffer.
+    is summed by BranchTable.row in the first 2 * ids.size entries of scratch,
+    so a fold allocates nothing of edge size; its callers keep out and scratch
+    across folds, so their pages are not faulted in again.
     """
     n = ids.size
     acc, term = scratch[:n], scratch[n:2 * n]
     for i in range(child.shape[0]):
-        np.take(table.cols[i, 0], ids, out=acc, mode="clip")
-        acc *= child[0]
-        for j in range(1, child.shape[0]):
-            np.take(table.cols[i, j], ids, out=term, mode="clip")
-            term *= child[j]
-            acc += term
+        table.row(i, ids, child, acc, term)
         np.add.reduceat(acc, starts, out=out[i])
 
 
@@ -299,6 +291,8 @@ def martingale_samples(spec: ModelSpec, depth: int, trials: int,
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     m1 = expected_n(spec) * spectral_radius(mu_mean(spec))
     if abs(m1 - 1.0) > 1e-9:
         raise ValueError(
@@ -356,9 +350,11 @@ def survival_counts(spec: ModelSpec, probes, depth: int, seed) -> np.ndarray:
     their parents' order, so one cursor per level finds a block's atom ids.
     Memory is then bounded by depth blocks, not by the widest level.
     """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    if not probes.any(axis=1).all():
-        raise ValueError("probe directions must be nonzero")
+    if not (np.isfinite(probes).all() and probes.any(axis=1).all()):
+        raise ValueError("probe directions must be finite and nonzero")
     budget = resolve_budget(DEFAULT_NODE_BUDGET)
     rng = as_generator(seed)
     table = spec.branch_table
@@ -397,13 +393,15 @@ def survival_counts(spec: ModelSpec, probes, depth: int, seed) -> np.ndarray:
 
 def _alive_counts(carriers, probes, thresholds) -> np.ndarray:
     """Per probe t, how many carriers C have |C t|_1 > threshold, taken in
-    blocks of about BLOCK_BYTES of the (nodes, d, probes) product."""
+    blocks of about BLOCK_BYTES of the (nodes, d, probes) product; |C t| is
+    taken in place, so no second block is made."""
     n, d, _ = carriers.shape
     alive = np.zeros(probes.shape[0], dtype=np.int64)
     step = max(1, _common.BLOCK_BYTES // (8 * d * probes.shape[0]))
     for start in range(0, n, step):
         rows = carriers[start:start + step].reshape(-1, d)
-        block = np.abs(rows @ probes.T).reshape(-1, d, probes.shape[0])
+        block = (rows @ probes.T).reshape(-1, d, probes.shape[0])
+        np.abs(block, out=block)
         alive += (block.sum(axis=1) > thresholds).sum(axis=0)
     return alive
 

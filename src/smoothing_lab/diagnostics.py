@@ -155,10 +155,10 @@ def kill_counts(spec: ModelSpec, t_grid, delta_grid) -> KillCountStats:
     delta_grid = np.asarray(delta_grid, dtype=float)
     if t_grid.shape[0] == 0 or delta_grid.size == 0:
         raise ValueError("grids must be nonempty")
-    if np.any(delta_grid < 0):
-        raise ValueError("thresholds must be nonnegative")
-    if not t_grid.any(axis=1).all():
-        raise ValueError("probes must be nonzero")
+    if not np.all((delta_grid >= 0) & np.isfinite(delta_grid)):
+        raise ValueError("thresholds must be nonnegative and finite")
+    if not (np.isfinite(t_grid).all() and t_grid.any(axis=1).all()):
+        raise ValueError("probes must be finite and nonzero")
 
     table = spec.branch_table
     vals = np.abs(np.matmul(t_grid[None], table.mats)).sum(axis=2)  # (M, P)
@@ -237,8 +237,8 @@ def small_ball_exponent(pool, eps_grid, seed=0):
     its counts by `_resampled_counts`.
     """
     eps_grid = np.sort(np.asarray(eps_grid, dtype=float))
-    if np.any(eps_grid <= 0):
-        raise ValueError("eps grid must be positive")
+    if not np.all((eps_grid > 0) & np.isfinite(eps_grid)):
+        raise ValueError("eps grid must be positive and finite")
     norms = np.sort(pool.norms())
     k = norms.size
     counts = np.searchsorted(norms, eps_grid, side="right")

@@ -67,10 +67,10 @@ def _check_branch(branch, dim: int, what: str) -> tuple:
 class BranchTable:
     """The joint branch law compiled into arrays: atom b, with probability
     probs[b], is the branch mats[offsets[b]:offsets[b] + sizes[b]] summing to
-    sums[b].  cols[i, j] = mats[:, i, j] is the entry stack that `row` and
-    the samplers' edge fold gather from, and cdf the normalised cumulative
-    probabilities that `draw` inverts.  The arrays are read-only, since
-    every reader shares them."""
+    sums[b].  cols[i, j] = mats[:, i, j] is the entry stack that `row`, the
+    one gather behind a pool round, a tree level and a chain step, reads,
+    and cdf the normalised cumulative probabilities that `draw` inverts.
+    The arrays are read-only, since every reader shares them."""
 
     probs: np.ndarray    # (B,)
     mats: np.ndarray     # (M, d, d)
@@ -112,12 +112,19 @@ class BranchTable:
                 ids += u >= c
         return int(ids) if size is None else ids
 
-    def row(self, i: int, ids: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def row(self, i: int, ids: np.ndarray, x: np.ndarray, out=None,
+            term=None) -> np.ndarray:
         """Row i of mats[ids[e]] @ x[:, ..., e] along x's last axis e, summed
-        entry by entry, so no (E, d, d) array is built."""
-        out = self.cols[i, 0][ids] * x[0]
+        entry by entry into `out`, so no (E, d, d) array is built.  The first
+        entry is gathered into `out`, the others into `term` (mode="clip": the
+        ids are in range), and multiplied by x[j] there.  Buffers not given
+        are new; given ones hold one entry per id, so x is then (d, E)."""
+        cols = self.cols[i]
+        out = np.multiply(cols[0].take(ids, out=out, mode="clip"), x[0],
+                          out=out)
         for j in range(1, x.shape[0]):
-            out += self.cols[i, j][ids] * x[j]
+            out += np.multiply(cols[j].take(ids, out=term, mode="clip"), x[j],
+                               out=term)
         return out
 
 

@@ -437,6 +437,7 @@ def spectral_profile(spec: ModelSpec, s_grid=None, *, chain_n: int = 64,
     if s_grid is None:
         s_grid = np.arange(-1.5, 2.01, 0.25)
     s_grid = np.asarray(s_grid, dtype=float)
+    # the count fixes the streams gamma and alpha read; 3 changes their bytes
     streams = spawn_generators(seed, len(s_grid) + 2)
 
     # one chain set for every order, passed as a list so that an `s == 0.0`

@@ -10,7 +10,10 @@ setting nothing exercises.
 """
 import argparse
 import ast
+import importlib.util
+import inspect
 import re
+import sys
 from pathlib import Path
 
 from smoothing_lab.cli import build_parser
@@ -224,3 +227,47 @@ def test_every_cli_flag_is_passed():
                                  path.read_text(encoding="utf-8")))
     never = cli_flags() - passed
     assert never == set(UNPASSED_FLAGS), sorted(never ^ set(UNPASSED_FLAGS))
+
+
+def benchmark_layers(monkeypatch):
+    """perfbench/layers.py, loaded from its path and only read; registered
+    while the test runs, since its dataclass looks its module up."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_layers", ROOT / "perfbench" / "layers.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def layer_function(layers, qual):
+    """The public function `module.name` defined in its own package module,
+    as the benchmark's tracer wraps it, or None."""
+    module, name = qual.split(".")
+    if module not in layers.MODULES or name.startswith("_"):
+        return None
+    mod = importlib.import_module(f"smoothing_lab.{module}")
+    obj = getattr(mod, name, None)
+    ok = inspect.isfunction(obj) and obj.__module__ == mod.__name__
+    return obj if ok else None
+
+
+def test_benchmark_watches_public_functions(monkeypatch):
+    # the static half of the tracer's install check: a rename or removal of
+    # a watched or probed function fails here, not in a benchmark run
+    layers = benchmark_layers(monkeypatch)
+    names = ({m.watch for m in layers.PER_LAYER if m.watch}
+             | set(layers.PROBES)
+             | {q for entry in layers.NESTED_COUNTS for q in entry[:2]})
+    assert sorted(q for q in names if layer_function(layers, q) is None) == []
+    # the parameters that the chain-step and tree-node probes read from the
+    # bound call
+    reads = {layers._chain_steps: {"n", "trials"},
+             layers._tree_nodes: {"spec", "trials", "depth"}}
+    probed = [(q, reads[p]) for q, p in layers.PROBES.items() if p in reads]
+    assert sorted(q for q, _ in probed) == [
+        "cascade.martingale_samples", "spectral.find_alpha",
+        "spectral.kappa_estimate", "spectral.lyapunov_estimate"]
+    for qual, params in probed:
+        signature = inspect.signature(layer_function(layers, qual))
+        assert params <= set(signature.parameters), qual

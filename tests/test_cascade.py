@@ -1,5 +1,6 @@
 import csv
 import io
+import sys
 import tracemalloc
 
 import numpy as np
@@ -414,6 +415,30 @@ def test_count_surviving_ex2_first_level(ex2):
 def test_count_surviving_rejects_zero_probe(ex2):
     with pytest.raises(ValueError):
         sl.survival_counts(ex2, np.zeros(2)[None], 3, seed=0)
+
+
+def test_tree_samplers_reject_bad_sizes(ex1):
+    # a negative depth was an IndexError, no trials an empty array and
+    # negative trials numpy's "negative dimensions are not allowed"
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        sl.survival_counts(ex1, sl.sphere_grid(2, 4), -1, seed=0)
+    for trials in (0, -2):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            sl.martingale_samples(ex1, depth=3, trials=trials, seed=0)
+
+
+def test_deep_narrow_survival_counts_need_no_recursion():
+    # E[N] = 1.001: a tree deeper than the interpreter's recursion limit
+    # stays a few nodes wide, and a rank-two positive matrix keeps every
+    # carrier alive, so the counts are the level sizes
+    a = np.array([[0.5, 0.5], [0.25, 0.75]])
+    spec = sl.ModelSpec(dim=2, atoms=((0.999, (a,)), (0.001, (a, a))))
+    depth = sys.getrecursionlimit() + 100
+    counts = sl.survival_counts(spec, sl.sphere_grid(2, 4), depth, seed=1)
+    table = spec.branch_table
+    levels, _ = cascade._grow_forest(table, depth, 1, as_generator(1), 10**7)
+    sizes = [len(atom) for atom in levels] + [table.sizes[levels[-1]].sum()]
+    assert np.array_equal(counts, np.repeat(np.array(sizes)[:, None], 4, 1))
 
 
 def test_survival_counts_monotone_ex2(ex2):

@@ -329,3 +329,26 @@ def test_small_ball_empty_tail():
     pool = constant_pool(np.array([2.0, 2.0]))
     with pytest.raises(EmptyTail):
         sl.small_ball_exponent(pool, np.geomspace(1e-4, 1e-1, 6))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda spec, pool: sl.kill_counts(spec, [[NAN, 1.0]], [0.0]),
+                 id="kill_counts-probe"),
+    pytest.param(lambda spec, pool: sl.kill_counts(spec, [[.5, .5]], [NAN]),
+                 id="kill_counts-threshold"),
+    pytest.param(lambda spec, pool: sl.survival_counts(spec, [[NAN, 1.0]], 2,
+                                                       seed=0),
+                 id="survival_counts-probe"),
+    pytest.param(lambda spec, pool: sl.small_ball_exponent(pool, [NAN, 1.0]),
+                 id="small_ball_exponent-eps"),
+])
+def test_non_finite_inputs_are_rejected(call, ex2):
+    # a nan probe or threshold gave a spurious zero mean or all-zero counts,
+    # and a nan radius an untyped LinAlgError from the fit
+    pool = sl.SamplePool(dim=2, samples=np.random.default_rng(0).uniform(
+        size=(500, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        call(ex2, pool)

@@ -271,6 +271,47 @@ def test_declaration_style_is_read_only_at_construction():
     assert readers == {("models", "model_from_dict")}, sorted(readers)
 
 
+def attribute_reads(node, attr, where=""):
+    """The qualified name of the def around each read of x.<attr>."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        where = f"{where}.{node.name}" if where else node.name
+    if (isinstance(node, ast.Attribute) and node.attr == attr
+            and isinstance(node.ctx, ast.Load)):
+        yield where
+    for child in ast.iter_child_nodes(node):
+        yield from attribute_reads(child, attr, where)
+
+
+def test_entry_stack_is_read_only_by_the_row_gather():
+    # every sampler gathers branch-matrix rows through BranchTable.row
+    readers = {(path.stem, where)
+               for path in sorted(Path(sl.__file__).parent.glob("*.py"))
+               for where in attribute_reads(
+                   ast.parse(path.read_text("utf-8")), "cols")}
+    assert readers == {("models", "BranchTable.row")}, sorted(readers)
+
+
+def test_row_gives_the_same_bytes_with_and_without_buffers():
+    rng = np.random.default_rng(3)
+    table = BranchTable.compile([(0.2, [rng.random((3, 3))]),
+                                 (0.8, list(rng.random((2, 3, 3))))])
+    ids = rng.integers(0, table.mats.shape[0], size=50)
+    for x in (rng.random((3, 50)), rng.random((3, 3, 50))):
+        for i in range(3):
+            expect = table.mats[ids, i, 0] * x[0]
+            for j in (1, 2):
+                expect = expect + table.mats[ids, i, j] * x[j]
+            fresh = table.row(i, ids, x)
+            assert np.array_equal(fresh, expect)
+            if x.ndim == 3:  # the chains keep no buffers
+                continue
+            # the edge fold keeps the sum and the gather buffer
+            for n_kept in (1, 2):
+                buffers = [np.full(50, np.nan) for _ in range(n_kept)]
+                assert table.row(i, ids, x, *buffers) is buffers[0]
+                assert np.array_equal(buffers[0], fresh)
+
+
 def test_spec_takes_atoms_or_an_iid_law():
     iid = {"n_law": ((2, 1.0),), "mu_atoms": ((1.0, A1),)}
     atoms = ((1.0, (A1, A2)),)
