@@ -18,8 +18,9 @@ from .errors import BudgetExceeded
 BUDGET_ENV_VAR = "SMOOTHING_LAB_BUDGET"
 DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_ELEMENT_BUDGET = 200_000
-# bytes of the largest temporary of a blocked loop: tree draws and folds,
-# alive tests, ECF row blocks and chain trial blocks; read at call time
+# bytes of the largest temporary of a blocked loop: tree draws (into a kept
+# scratch that the martingale's fold reuses) and folds, alive tests, ECF row
+# blocks and chain trial blocks; read at call time
 BLOCK_BYTES = 1 << 19
 
 

@@ -8,8 +8,9 @@ models whose mean matrix has unit spectral radius.  Both draw from the
 model's branch table and fold each parent's edges by its `row` gather into
 buffers that the caller keeps.  The pool round folds a block of parents at
 a time, and a forest is kept as narrow atom ids and tree offsets per level,
-which the martingale folds leaves-up a block of whole trees at a time and
-survival_counts walks depth first.  So the working sets are bounded by
+drawn a block at a time with one kept float scratch; the martingale folds
+it leaves-up a block of whole trees at a time in that same scratch, and
+survival_counts walks it depth first.  So the working sets are bounded by
 BLOCK_BYTES, not by k E[N] or by the widest level.
 """
 from __future__ import annotations
@@ -52,6 +53,8 @@ class SamplePool:
             raise ValueError("samples must be a (K, dim) array")
         if self.samples.shape[0] < 1:
             raise ValueError("pool must hold at least one sample")
+        if not np.isfinite(self.samples).all():
+            raise ValueError("pool samples must be finite")
         if np.any(self.samples < 0):
             raise ValueError("pool samples must be entrywise nonnegative")
 
@@ -81,14 +84,18 @@ def heavy_tail_pool(spec: ModelSpec, k: int, tail_index: float,
     Regularly varying initial conditions are the basin of the fixed point
     when the mean matrix has spectral radius below one (the point-mass
     iteration then collapses to zero in probability).  k is charged against
-    the node budget before anything is allocated.
+    the node budget before anything is allocated; OutOfRange when a draw
+    overflows.
     """
     if not 0 < tail_index:
         raise ValueError("tail_index must be positive")
     charge_budget(k, resolve_budget(DEFAULT_NODE_BUDGET), "pool size k")
     rng = as_generator(seed)
     direction = pf_decompose(mean_sum_matrix(spec))
-    w = rng.uniform(size=k) ** (-1.0 / tail_index)
+    with np.errstate(over="ignore", divide="ignore"):
+        w = rng.uniform(size=k) ** (-1.0 / tail_index)
+    if not np.isfinite(w).all():
+        raise OutOfRange(f"a Pareto({tail_index}) draw overflows")
     return SamplePool(dim=spec.dim, samples=w[:, None] * direction[None, :])
 
 
@@ -104,7 +111,8 @@ def iterate_pool(spec: ModelSpec, pool: SamplePool, seed, out=None,
     depend on the block size.  The new samples are out.T for a (dim, k)
     `out`, and `scratch` (from `_pool_scratch`) holds the block's
     temporaries; run_fixed_point passes both and reuses them every round.
-    Neither may share memory with the pool.
+    Neither may share memory with the pool (ValueError), and OutOfRange
+    when a new sample is not finite.
 
     Resampling is with replacement and value-independent, so iterating from
     c * pool with the same seed yields exactly c times the iterated pool.
@@ -117,6 +125,8 @@ def iterate_pool(spec: ModelSpec, pool: SamplePool, seed, out=None,
     if out is None:
         out = np.empty((d, k))
     floats, edge_ids = _pool_scratch(table, d, k) if scratch is None else scratch
+    if any(np.may_share_memory(a, pool.samples) for a in (out, floats, edge_ids)):
+        raise ValueError("out and scratch must not share memory with the pool")
     cap = edge_ids.size                        # edges a block may hold
     per = cap // table.sizes.max()             # parents per block
     # np.take would copy a strided (C-order) pool again in every block
@@ -125,12 +135,16 @@ def iterate_pool(spec: ModelSpec, pool: SamplePool, seed, out=None,
     for p0 in range(0, k, per):
         block = atom[p0:p0 + per]
         block[:] = table.draw(rng, block.size)
-    for p0 in range(0, k, per):
-        ids, starts = _edges(table, atom[p0:p0 + per], edge_ids)
-        picks = rng.integers(0, k, size=ids.size)
-        child = floats[:d * ids.size].reshape(d, ids.size)
-        np.take(samples, picks, axis=1, out=child, mode="clip")
-        _fold(table, ids, starts, child, out[:, p0:p0 + per], floats[d * cap:])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for p0 in range(0, k, per):
+            ids, starts = _edges(table, atom[p0:p0 + per], edge_ids)
+            picks = rng.integers(0, k, size=ids.size)
+            child = floats[:d * ids.size].reshape(d, ids.size)
+            np.take(samples, picks, axis=1, out=child, mode="clip")
+            _fold(table, ids, starts, child, out[:, p0:p0 + per],
+                  floats[d * cap:])
+    if not np.isfinite(out).all():
+        raise OutOfRange(f"a sample overflows in round {pool.generation + 1}")
     return SamplePool(dim=d, samples=out.T, generation=pool.generation + 1)
 
 
@@ -201,14 +215,17 @@ def _mean_norm(pool: SamplePool) -> float:
 
 
 def _grow_forest(table: BranchTable, depth: int, n_trees: int, rng,
-                 node_budget: int) -> tuple:
-    """(levels, offsets) of a forest grown to `depth`: per level below it,
-    the narrow atom ids of its nodes and the n_trees + 1 offsets of its trees.
+                 node_budget: int, scratch=None) -> tuple:
+    """(levels, offsets, scratch) of a forest grown to `depth`: per level
+    below it, the narrow atom ids of its nodes and the n_trees + 1 offsets of
+    its trees, and the float scratch it was drawn in.
 
     Children follow their parents' order and then the branch order, so tree
     t's nodes at level l are levels[l][offsets[l][t]:offsets[l][t + 1]].  A
     level is drawn, and its child counts summed, BLOCK_BYTES // 8 nodes at
-    a time; the leaf level is counted against the budget but never built.
+    a time, its uniforms and running ends into `scratch`, grown to twice
+    min(BLOCK_BYTES // 8, level width) entries and returned for the caller
+    to reuse; the leaf level is counted against the budget but never built.
     """
     step = _common.BLOCK_BYTES // 8
     off = np.arange(n_trees + 1)
@@ -216,15 +233,21 @@ def _grow_forest(table: BranchTable, depth: int, n_trees: int, rng,
     levels, offsets = [], []
     for _ in range(depth):
         atom = np.empty(off[-1], dtype=np.min_scalar_type(table.sizes.size - 1))
+        n = min(step, atom.size)
+        if scratch is None or scratch.size < 2 * n:
+            scratch = np.empty(2 * n)
+        u, run = scratch[:n], scratch[n:2 * n].view(np.int64)
         below = np.empty_like(off)      # children before each tree's first node
         t = total = 0
         for start in range(0, atom.size, step):
             block = atom[start:start + step]
-            block[:] = table.draw(rng, block.size)
-            counts = table.sizes[block]
-            ends = total + np.cumsum(counts)
+            table.draw(rng, block.size, out=block, u=u)
+            ends = table.sizes.take(block, out=run[:block.size], mode="clip")
+            np.cumsum(ends, out=ends)
+            ends += total
             stop = np.searchsorted(off, start + block.size)
-            below[t:stop] = (ends - counts)[off[t:stop] - start]
+            first = off[t:stop] - start
+            below[t:stop] = ends[first] - table.sizes[block[first]]
             t, total = stop, ends[-1]
         below[t:] = total
         nodes_per_tree += np.diff(below)
@@ -235,7 +258,7 @@ def _grow_forest(table: BranchTable, depth: int, n_trees: int, rng,
         levels.append(atom)
         offsets.append(off)
         off = below
-    return levels, offsets
+    return levels, offsets, scratch
 
 
 def _edges(table: BranchTable, atom: np.ndarray, out=None):
@@ -285,9 +308,10 @@ def martingale_samples(spec: ModelSpec, depth: int, trials: int,
     The leaf level is never built: a depth-(n-1) node that draws atom b
     contributes Y_b v, with Y_b its branch sum.  Each level above is folded
     into its parents by the same edge fold as the pool round, a block of
-    whole trees (about BLOCK_BYTES of deepest-node vectors) at a time, so
-    each parent sums its edges as a whole fold.  The level buffers and the
-    fold scratch are kept across blocks and chunks.
+    whole trees at a time, so each parent sums its edges as a whole fold.
+    Each forest is drawn in one float scratch kept by the call, and the fold
+    cuts its blocks to fit it, growing it only for a tree whose deepest
+    level needs more, so draw and fold buffers are never live together.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -305,25 +329,26 @@ def martingale_samples(spec: ModelSpec, depth: int, trials: int,
     table = spec.branch_table
     leaf_sums = (table.sums @ v).T.copy()         # column b is Y_b v
     d = spec.dim
-    step = _common.BLOCK_BYTES // (8 * d)      # deepest nodes per block
+    width = 2 * d + 3   # per deepest node: two d-vectors, two rows, an id
     out = np.empty((trials, d))
-    # two (d, nodes) level buffers and the fold's two rows, and the edge ids
-    work, edge_ids = np.empty(0), np.empty(0, dtype=np.int64)
+    scratch = None
     n_chunks = (trials + _TREE_CHUNK - 1) // _TREE_CHUNK
     streams = spawn_generators(seed, n_chunks)
     done = 0
     for rng in streams:
         chunk = min(_TREE_CHUNK, trials - done)
-        levels, offsets = _grow_forest(table, depth, chunk, rng, budget)
+        levels, offsets, scratch = _grow_forest(table, depth, chunk, rng,
+                                                budget, scratch)
         ends, t0 = offsets[-1], 0
-        while t0 < chunk:  # whole trees: at most step deepest nodes, or one
-            t1 = max(t0 + 1, ends.searchsorted(ends[t0] + step, "right") - 1)
+        while t0 < chunk:  # whole trees that fit the scratch, or one
+            cap = scratch.size // width
+            t1 = max(t0 + 1, ends.searchsorted(ends[t0] + cap, "right") - 1)
             n = ends[t1] - ends[t0]     # the deepest level is the widest
-            if edge_ids.size < n:
-                edge_ids = np.empty(max(n, min(step, ends[-1])), dtype=np.int64)
-                work = np.empty((2 * d + 2) * edge_ids.size)
-            cap = edge_ids.size
-            a, b = work[:d * cap], work[d * cap:2 * d * cap]
+            if cap < n:
+                cap, scratch = n, np.empty(width * n)
+            a, b = scratch[:d * cap], scratch[d * cap:2 * d * cap]
+            rows = scratch[2 * d * cap:(2 * d + 2) * cap]
+            edge_ids = scratch[(2 * d + 2) * cap:width * cap].view(np.int64)
             vecs = a[:d * n].reshape(d, n)
             np.take(leaf_sums, levels[-1][ends[t0]:ends[t1]], axis=1,
                     out=vecs, mode="clip")
@@ -331,7 +356,7 @@ def martingale_samples(spec: ModelSpec, depth: int, trials: int,
                 ids, starts = _edges(table, atom[off[t0]:off[t1]], edge_ids)
                 a, b = b, a
                 folded = a[:d * starts.size].reshape(d, starts.size)
-                _fold(table, ids, starts, vecs, folded, work[2 * d * cap:])
+                _fold(table, ids, starts, vecs, folded, rows)
                 vecs = folded
             out[done + t0:done + t1] = vecs.T
             t0 = t1
@@ -358,7 +383,7 @@ def survival_counts(spec: ModelSpec, probes, depth: int, seed) -> np.ndarray:
     budget = resolve_budget(DEFAULT_NODE_BUDGET)
     rng = as_generator(seed)
     table = spec.branch_table
-    levels, _ = _grow_forest(table, depth, 1, rng, budget)
+    levels = _grow_forest(table, depth, 1, rng, budget)[0]
     mats_t = table.mats.transpose(0, 2, 1)
     step = max(1, _common.BLOCK_BYTES // (8 * spec.dim ** 2))
 

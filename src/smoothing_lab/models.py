@@ -96,18 +96,22 @@ class BranchTable:
             a.flags.writeable = False
         return table
 
-    def draw(self, rng, size=None):
+    def draw(self, rng, size=None, out=None, u=None):
         """Atom ids drawn i.i.d. from probs: the ids, and the uniforms
         consumed, of rng.choice(B, size, p=probs), bit for bit.
 
         A uniform u gives the number of cdf entries <= u.  Small tables count
         the crossings of cdf[:-1] directly, which beats the binary search.
+        Buffers not given are new; given, size is a count, the uniforms go
+        to the head of `u` and the ids to `out`, of any integer dtype that
+        holds them.
         """
-        u = rng.random(size)
+        u = rng.random(size) if u is None else rng.random(out=u[:size])
+        ids = np.empty(np.shape(u), dtype=np.int64) if out is None else out
         if self.cdf.size > _COUNTED_ATOMS:
-            ids = self.cdf.searchsorted(u, side="right")
+            ids[...] = self.cdf.searchsorted(u, side="right")
         else:
-            ids = np.zeros(np.shape(u), dtype=np.int64)
+            ids[...] = 0
             for c in self.cdf[:-1]:
                 ids += u >= c
         return int(ids) if size is None else ids

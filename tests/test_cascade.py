@@ -9,7 +9,11 @@ import pytest
 import smoothing_lab as sl
 from smoothing_lab import _common, cascade
 from smoothing_lab._common import as_generator, spawn_generators
-from smoothing_lab.errors import BudgetExceeded, SupercriticalBlowup
+from smoothing_lab.errors import (
+    BudgetExceeded,
+    OutOfRange,
+    SupercriticalBlowup,
+)
 
 from conftest import A1, A2
 
@@ -93,6 +97,37 @@ def test_run_fixed_point_leaves_initial_pool_alone(ex2, order):
                                      initial_pool=start)
         assert np.array_equal(start.samples, kept)
         assert not np.shares_memory(pool.samples, samples)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sample_pool_rejects_non_finite_samples(bad):
+    # an inf sample gave an all-NaN transform curve and a "stable" harmonic
+    # moment, and a NaN one passed the sign check
+    with pytest.raises(ValueError, match="finite"):
+        sl.SamplePool(dim=2, samples=[[bad, 1.0], [1.0, 1.0]])
+
+
+def test_overflowing_pools_raise_out_of_range(ex1, ex2):
+    with pytest.raises(OutOfRange):
+        sl.iterate_pool(ex1, sl.constant_pool([1.7e308, 1.7e308], 10), seed=1)
+    with pytest.raises(OutOfRange):
+        sl.heavy_tail_pool(ex2, 1000, 0.005, seed=1)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_iterate_pool_refuses_buffers_on_the_pool(ex2, order):
+    # an F-order pool's out=pool.samples.T was folded into as it was read
+    samples = np.asarray(sl.heavy_tail_pool(ex2, 50_000, 1.5, seed=2).samples,
+                         order=order)
+    pool = sl.SamplePool(dim=2, samples=samples)
+    kept = samples.copy()
+    floats, edge_ids = cascade._pool_scratch(ex2.branch_table, 2, pool.size)
+    flat = samples.ravel(order="K")     # a view in either order
+    for out, scratch in ((samples.T, None), (None, (flat, edge_ids)),
+                         (None, (floats, flat.view(np.int64)))):
+        with pytest.raises(ValueError, match="share memory"):
+            sl.iterate_pool(ex2, pool, seed=3, out=out, scratch=scratch)
+    assert np.array_equal(samples, kept)
 
 
 def test_pool_memory_is_bounded_by_the_block(ex2):
@@ -267,7 +302,7 @@ def whole_chunk_martingale(spec, depth, trials, seed):
     out = []
     for rng in spawn_generators(seed, -(-trials // size)):
         chunk = min(size, trials - len(out) * size)
-        levels, _ = cascade._grow_forest(table, depth, chunk, rng, 10**7)
+        levels = cascade._grow_forest(table, depth, chunk, rng, 10**7)[0]
         vecs = leaf_sums[:, levels.pop()]
         while levels:
             ids, starts = cascade._edges(table, levels.pop())
@@ -279,13 +314,15 @@ def whole_chunk_martingale(spec, depth, trials, seed):
     return np.concatenate(out)
 
 
-# BLOCK_BYTES // 8 nodes per draw block and BLOCK_BYTES // 16 deepest nodes
-# per fold block (d = 2): 8 is one node per draw and one tree per fold; an
-# ex1 tree has 2048 nodes at depth 11, so 16 * 1500 folds one tree at a time
-# with draws that straddle trees, 16 * 3 * 2048 ends each fold block on a
-# tree boundary and 16 * 50_000 folds 24 trees at a time
+# BLOCK_BYTES // 8 nodes per draw block, drawn in a scratch of
+# BLOCK_BYTES // 4 floats, and at most BLOCK_BYTES // 28 deepest nodes per
+# fold block (d = 2) unless one tree needs more: 8 is one node per draw and
+# one tree per fold; an ex1 tree has 2048 nodes at depth 11, so 16 * 1500
+# and 16 * 3 * 2048 fold one tree at a time with draws that straddle trees,
+# 28 * 3 * 2048 ends each fold block on a tree boundary and 16 * 50_000
+# folds 13 trees at a time
 @pytest.mark.parametrize("name, depth, trials, blocks", [
-    ("ex1", 12, 600, (16 * 1500, 16 * 3 * 2048, 16 * 50_000)),
+    ("ex1", 12, 600, (16 * 1500, 16 * 3 * 2048, 28 * 3 * 2048, 16 * 50_000)),
     ("ex2", 6, 40, (8, 8 * 7)),
     ("ex3", 8, 40, (8, 8 * 7)),
 ])
@@ -334,6 +371,19 @@ def test_tree_memory_is_bounded_by_the_block(ex1, ex2):
     finally:
         tracemalloc.stop()
     assert max(peaks) < 16 * 2**20, peaks
+
+
+def test_martingale_growth_and_fold_share_one_scratch(ex1):
+    # fresh draw temporaries beside the last chunk's fold buffers traced
+    # 5.96 MiB; the forest's ids alone take 2 MiB
+    sl.martingale_samples(ex1, 2, 3, seed=0)
+    tracemalloc.start()
+    try:
+        sl.martingale_samples(ex1, 12, 1024, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2**20, peak
 
 
 def test_deep_survival_counts_memory_is_bounded_by_the_block(ex2):
@@ -436,7 +486,7 @@ def test_deep_narrow_survival_counts_need_no_recursion():
     depth = sys.getrecursionlimit() + 100
     counts = sl.survival_counts(spec, sl.sphere_grid(2, 4), depth, seed=1)
     table = spec.branch_table
-    levels, _ = cascade._grow_forest(table, depth, 1, as_generator(1), 10**7)
+    levels = cascade._grow_forest(table, depth, 1, as_generator(1), 10**7)[0]
     sizes = [len(atom) for atom in levels] + [table.sizes[levels[-1]].sum()]
     assert np.array_equal(counts, np.repeat(np.array(sizes)[:, None], 4, 1))
 

@@ -133,6 +133,14 @@ def test_branch_table_draw_matches_choice(atoms):
             assert np.array_equal(ids, expected)
             assert np.shape(ids) == np.shape(expected)
             assert rng.random() == ref.random()
+        # the buffer form: narrow ids written into `out`, and the uniforms
+        # into the head of a longer `u`
+        rng, ref = as_generator(seed), as_generator(seed)
+        out, u = np.full(7, 255, dtype=np.uint8), np.full(10, np.nan)
+        assert table.draw(rng, 7, out=out, u=u) is out
+        assert np.array_equal(out, ref.choice(atoms, 7, p=table.probs))
+        assert np.isnan(u[7:]).all()
+        assert rng.random() == ref.random()
 
 
 def test_branch_table_draw_on_a_cdf_entry():
