@@ -237,8 +237,8 @@ def small_ball_exponent(pool, eps_grid, seed=0):
     its counts by `_resampled_counts`.
     """
     eps_grid = np.sort(np.asarray(eps_grid, dtype=float))
-    if not np.all((eps_grid > 0) & np.isfinite(eps_grid)):
-        raise ValueError("eps grid must be positive and finite")
+    if not eps_grid.size or not np.all((eps_grid > 0) & np.isfinite(eps_grid)):
+        raise ValueError("eps grid must be nonempty, positive and finite")
     norms = np.sort(pool.norms())
     k = norms.size
     counts = np.searchsorted(norms, eps_grid, side="right")

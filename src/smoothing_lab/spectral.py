@@ -12,13 +12,16 @@ discretized transfer operator on the direction simplex whose leading
 eigenvalue extends the moment growth rate to negative orders; its root
 against 1/P[N = 1] is the critical harmonic-moment exponent.  The operator
 interpolates linearly on the Freudenthal (Kuhn) triangulation of the
-lattice grid, in closed form, and is held in gather form whose geometry
+lattice grid, in closed form, each corner's grid row given by its rank in
+the combinatorial number system, and is held in gather form whose geometry
 is built once per law and grid.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain, combinations_with_replacement
+from math import comb
 
 import numpy as np
 
@@ -267,27 +270,35 @@ class TransferDiscretization:
                                 _EIGEN_MAX_ITER)
 
 
+def _lattice_size(d: int, grid_size: int):
+    """(m, G): the denominator of the grid {k/m : k in N^d, |k| = m} and its
+    G = C(m + d - 1, d - 1) points.  d = 2 uses m = grid_size - 1; higher d
+    takes the smallest m >= d that reaches grid_size points, by bisection;
+    d = 1 has one point, at m = 1."""
+    if d < 3:
+        return (grid_size - 1, grid_size) if d == 2 else (1, 1)
+    m, hi = d, max(d, grid_size)
+    while m < hi:
+        mid = (m + hi) // 2
+        if comb(mid + d - 1, d - 1) < grid_size:
+            m = mid + 1
+        else:
+            hi = mid
+    return m, comb(m + d - 1, d - 1)
+
+
 def _simplex_lattice(d: int, grid_size: int):
-    """The grid {k/m : k in N^d, |k| = m} in lexicographic order of k, with
-    m and a flat table from the cumulative coordinates K_j = k_1 + ... + k_j
-    (j < d) to grid rows.  d = 2 uses m = grid_size - 1; higher d takes the
-    smallest m >= d that reaches grid_size points."""
-    if d == 1:
-        return np.ones((1, 1)), 0, np.zeros(1, dtype=np.int64)
-    from math import comb
-
-    m = grid_size - 1 if d == 2 else d
-    while comb(m + d - 1, d - 1) < grid_size:
-        m += 1
-    cum = np.indices((m + 1,) * (d - 1)).reshape(d - 1, -1).T
-    ok = np.all(np.diff(cum, axis=1) >= 0, axis=1)
-    table = np.cumsum(ok) - 1   # read only at the nondecreasing K, the lattice
-    k = np.diff(np.pad(cum[ok], ((0, 0), (1, 1)), constant_values=(0, m)),
-                axis=1)
-    return k / m, m, table
+    """The grid {k/m : k in N^d, |k| = m} in lexicographic order of k, and
+    m.  The rows come from the nondecreasing cumulative coordinates
+    K_j = k_1 + ... + k_j (j < d), which are in the same order."""
+    m, g = _lattice_size(d, grid_size)
+    cum = np.fromiter(chain.from_iterable(combinations_with_replacement(
+        range(m + 1), d - 1)), np.int64, g * (d - 1)).reshape(g, d - 1)
+    k = np.diff(np.pad(cum, ((0, 0), (1, 1)), constant_values=(0, m)), axis=1)
+    return k / m, m
 
 
-def _interpolation_weights(points: np.ndarray, m: int, table: np.ndarray):
+def _interpolation_weights(points: np.ndarray, m: int):
     """Rows of the linear-interpolation matrix on the Freudenthal (Kuhn)
     triangulation of the lattice: grid indices and weights per point.
 
@@ -295,15 +306,23 @@ def _interpolation_weights(points: np.ndarray, m: int, table: np.ndarray):
     b = floor(c) and the simplex walks from b through the unit steps in
     order of decreasing fraction f = c - b (larger index first on ties);
     the weights are the successive differences of the sorted fractions.
+    A corner K is grid row C(n, d - 1) - 1 - sum_j C(n - 1 - K_j - j,
+    d - 1 - j), the lexicographic rank of the strict combination K_j + j
+    of n = m + d - 1 items.
     """
     d = points.shape[1]
     c = np.clip(np.cumsum(points[:, :-1], axis=1) * m, 0.0, m)
-    b = np.clip(np.floor(c), 0, max(m - 1, 0))
+    b = np.clip(np.floor(c), 0, m - 1)
     f = c - b
     order = d - 2 - np.argsort(-f[:, ::-1], axis=1, kind="stable")
     steps = np.cumsum(order[:, :, None] == np.arange(d - 1), axis=1)
-    verts = b[:, None, :] + np.pad(steps, ((0, 0), (1, 0), (0, 0)))
-    idx = table[verts.astype(np.int64) @ (m + 1) ** np.arange(d - 2, -1, -1)]
+    n, j = m + d - 1, np.arange(d - 1)
+    strict = (b + j).astype(np.int64)[:, None, :] + np.pad(
+        steps, ((0, 0), (1, 0), (0, 0)))          # corners K_j + j
+    binom = np.ones((n, d), dtype=np.int64)       # C(a, r), column by column
+    for r in range(1, d):
+        binom[:, r] = np.cumsum(binom[:, r - 1]) - binom[:, r - 1]
+    idx = comb(n, d - 1) - 1 - binom[n - 1 - strict, d - 1 - j].sum(axis=2)
     fs = np.take_along_axis(f, order, axis=1)
     w = -np.diff(np.pad(fs, ((0, 0), (1, 1)), constant_values=(1.0, 0.0)),
                  axis=1)
@@ -316,18 +335,16 @@ def _transfer_geometry(d: int, grid_size: int, mats: tuple) -> tuple:
     each atom's image direction on the lattice, and its L1 image norms
     (G, M): the part of the operator that every order shares.  `mats` holds
     the atoms as flat tuples of floats, so the cache is keyed on content."""
-    grid, m, table = _simplex_lattice(d, grid_size)
-    parts = []
-    for a in mats:
-        img = grid @ np.reshape(a, (d, d)).T
-        norms = img.sum(axis=1)
-        if np.any(norms <= 0.0):
-            raise FurstenbergKestenViolated(
-                "a singleton-branch atom maps part of the simplex to zero")
-        parts.append((*_interpolation_weights(img / norms[:, None], m, table),
-                      norms))
-    idx, w, norms = zip(*parts)
-    out = (np.hstack(idx), np.stack(w, axis=1), np.stack(norms, axis=1))
+    grid, m = _simplex_lattice(d, grid_size)
+    # one product for all atoms: column block a of the right factor is A_a^T
+    img = grid @ np.reshape(mats, (-1, d, d)).transpose(2, 0, 1).reshape(d, -1)
+    img = img.reshape(grid.shape[0], -1, d)                     # (G, M, d)
+    norms = img.sum(axis=2)
+    if np.any(norms <= 0.0):
+        raise FurstenbergKestenViolated(
+            "a singleton-branch atom maps part of the simplex to zero")
+    idx, w = _interpolation_weights((img / norms[..., None]).reshape(-1, d), m)
+    out = (idx.reshape(norms.shape[0], -1), w.reshape(img.shape), norms)
     for a in out:
         a.flags.writeable = False
     return out
@@ -341,18 +358,27 @@ def discretize_transfer(spec: ModelSpec, s: float,
     Requires P[N = 1] > 0.  For the kernel to stay bounded every conditioned
     atom must map the whole simplex away from zero (guaranteed by a strictly
     positive entry ratio bound, and exactly equivalent to every column of
-    the atom having a positive sum).  grid_size is charged against the
-    element budget before anything is allocated.
+    the atom having a positive sum).  The gather form's G M d entries are
+    charged against the element budget before anything is allocated.  A
+    non-finite order raises ValueError, and OutOfRange is raised when a
+    weight p |A v|^s overflows or all of a row's weights underflow.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
-    charge_budget(grid_size, resolve_budget(DEFAULT_ELEMENT_BUDGET),
-                  "transfer grid")
+    if not np.isfinite(s):
+        raise ValueError(f"the transfer order must be finite, got {s}")
     atoms = conditioned_a1_atoms(spec)
+    entries = _lattice_size(spec.dim, grid_size)[1] * len(atoms) * spec.dim
+    charge_budget(entries, resolve_budget(DEFAULT_ELEMENT_BUDGET),
+                  "transfer grid")
     mats = tuple(tuple(a.ravel().tolist()) for _, a in atoms)
     idx, w, norms = _transfer_geometry(spec.dim, grid_size, mats)
     probs = np.array([p for p, _ in atoms])
-    w = (w * (probs * norms ** s)[:, :, None]).reshape(idx.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = (w * (probs * norms ** s)[:, :, None]).reshape(idx.shape)
+    if not (np.isfinite(w).all() and w.any(axis=1).all()):
+        raise OutOfRange(f"the transfer weights at order {s} are out of "
+                         "double range")
     return TransferDiscretization(idx=idx, w=w)
 
 

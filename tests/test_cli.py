@@ -450,6 +450,18 @@ def test_spectrum_out_of_range_kappa_writes_nothing(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_spectrum_out_of_range_transfer_order_exits_3(tmp_path, monkeypatch,
+                                                     capsys):
+    # |A v|^-800 overflows: the transfer weights are checked and the order
+    # named, where the power iteration used to stall after two warnings
+    monkeypatch.chdir(tmp_path)
+    assert main(["spectrum", "--model", "ex3", "--seed", "1", "--out-prefix",
+                 "big", "--s-grid=-800,0.5", "--chain-n", "64", "--trials",
+                 "1000", "--lyap-n", "50", "--lyap-trials", "100"]) == 3
+    assert "order -800" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("bad", [float("inf"), float("nan"), np.float64("-inf")])
 def test_csv_outputs_reject_non_finite_values(tmp_path, bad):
     path = tmp_path / "x.csv"

@@ -344,10 +344,13 @@ NAN = float("nan")
                  id="survival_counts-probe"),
     pytest.param(lambda spec, pool: sl.small_ball_exponent(pool, [NAN, 1.0]),
                  id="small_ball_exponent-eps"),
+    pytest.param(lambda spec, pool: sl.small_ball_exponent(pool, []),
+                 id="small_ball_exponent-empty"),
 ])
 def test_non_finite_inputs_are_rejected(call, ex2):
     # a nan probe or threshold gave a spurious zero mean or all-zero counts,
-    # and a nan radius an untyped LinAlgError from the fit
+    # a nan radius an untyped LinAlgError from the fit, and an empty grid
+    # an IndexError
     pool = sl.SamplePool(dim=2, samples=np.random.default_rng(0).uniform(
         size=(500, 2)))
     with pytest.raises(ValueError, match="finite"):

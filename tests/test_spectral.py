@@ -12,6 +12,7 @@ from smoothing_lab.errors import (
     FurstenbergKestenViolated,
     NoConvergence,
     NoSingletonBranch,
+    OutOfRange,
     SingularDirection,
     WitnessNotFound,
 )
@@ -314,11 +315,79 @@ def test_transfer_grid_is_charged_before_any_allocation(ex3, dim, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2**16, peak
-    # the grid size is charged against the element budget
+    # the gather form's G M d entries are charged against the element
+    # budget: ex3 has G = grid_size and two atoms; the 3-dim spec one atom,
+    # with G = 21 at grid sizes 16 to 21 and G = 28 at 22
+    largest = 16 if dim == 2 else 21
     monkeypatch.setenv("SMOOTHING_LAB_BUDGET", "64")
-    sl.discretize_transfer(spec, -1.0, grid_size=64)
+    sl.discretize_transfer(spec, -1.0, grid_size=largest)
     with pytest.raises(BudgetExceeded):
-        sl.discretize_transfer(spec, -1.0, grid_size=65)
+        sl.discretize_transfer(spec, -1.0, grid_size=largest + 1)
+
+
+def test_transfer_grid_charge_counts_the_lattice_not_the_request():
+    # at d = 12 the smallest lattice has C(23, 11) = 1352078 points, so a
+    # grid_size of 2 asks for 1352078 * 12 entries (and once for a lookup
+    # table of 13**11 cells)
+    d = 12
+    spec = sl.ModelSpec(dim=d, atoms=((0.5, (np.full((d, d), 0.5 / d),)),
+                                      (0.5, (np.eye(d), np.eye(d)))))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="16224936"):
+            sl.discretize_transfer(spec, -1.0, grid_size=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16, peak
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_simplex_lattice_interpolates_every_point(d):
+    # whatever the row indexing, each point's corners are grid rows and its
+    # weights a convex combination of them that reproduces the point
+    grid, m = _simplex_lattice(d, 40)
+    rng = np.random.default_rng(d)
+    points = rng.dirichlet(np.ones(d), size=300)
+    if d > 1:
+        points[::3, rng.integers(d)] = 0.0      # points on a face
+        points /= points.sum(axis=1, keepdims=True)
+    for p in (points, grid):
+        idx, w = spectral._interpolation_weights(p, m)
+        assert idx.shape == w.shape == p.shape
+        assert np.all((idx >= 0) & (idx < grid.shape[0]))
+        assert np.all(w >= 0.0)
+        assert w.sum(axis=1) == pytest.approx(1.0, abs=1e-12)
+        assert np.abs((w[:, :, None] * grid[idx]).sum(axis=1) - p).max() < 1e-12
+
+
+def test_transfer_grid_memory_is_bounded_by_the_lattice():
+    # d = 7 at grid_size 512 has 1716 points; a dense table over the
+    # (m + 1)**6 cumulative coordinates traced 23.25 MiB
+    rng = np.random.default_rng(3)
+    a, b, c = (rng.uniform(0.1, 1.0, size=(7, 7)) / 7 for _ in range(3))
+    spec = sl.ModelSpec(dim=7, atoms=((0.5, (a,)), (0.5, (b, c))))
+    spectral._transfer_geometry.cache_clear()
+    tracemalloc.start()
+    try:
+        disc = sl.discretize_transfer(spec, -0.5, grid_size=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert disc.idx.shape == (1716, 7)
+    assert peak < 4 * 2**20, peak
+
+
+@pytest.mark.parametrize("s, error", [
+    (float("inf"), ValueError), (float("nan"), ValueError),
+    (float("-inf"), ValueError), (2000.0, OutOfRange), (-2000.0, OutOfRange),
+])
+def test_transfer_orders_out_of_range(ex3, s, error):
+    # inf and 2000 gave a spurious kappa_tilde of 0.0, nan and -2000 a
+    # stalled power iteration after overflow warnings
+    with pytest.raises(error, match="finite" if error is ValueError
+                       else "order"):
+        sl.discretize_transfer(ex3, s, grid_size=64)
 
 
 def test_transfer_requires_singleton_branch(ex1):
@@ -346,12 +415,12 @@ def dense_operator(disc) -> np.ndarray:
 def dense_reference(spec, s, grid_size) -> np.ndarray:
     """The (G, G) operator built atom by atom from the lattice, as a dense
     matrix, independently of the gather form's geometry."""
-    grid, m, table = _simplex_lattice(spec.dim, grid_size)
+    grid, m = _simplex_lattice(spec.dim, grid_size)
     op = np.zeros((grid.shape[0], grid.shape[0]))
     for p, a in sl.conditioned_a1_atoms(spec):
         img = grid @ a.T
         norms = img.sum(axis=1)
-        idx, w = spectral._interpolation_weights(img / norms[:, None], m, table)
+        idx, w = spectral._interpolation_weights(img / norms[:, None], m)
         np.add.at(op, (np.arange(grid.shape[0])[:, None], idx),
                   (p * norms ** s)[:, None] * w)
     return op
@@ -377,8 +446,9 @@ def test_transfer_gather_matches_dense(ex3, name, s, grid_size):
 
 def test_transfer_geometry_built_once_per_grid(ex3, monkeypatch):
     # every order of the kappa_tilde grid and every gap evaluation of the
-    # a0 bisection reuses one geometry: each conditioned atom's image
-    # directions are interpolated once (76 times when built per order)
+    # a0 bisection reuses one geometry: the image directions of all
+    # conditioned atoms are interpolated in one call (76 calls when built
+    # per order and atom)
     calls = []
     weights = spectral._interpolation_weights
 
@@ -391,7 +461,7 @@ def test_transfer_geometry_built_once_per_grid(ex3, monkeypatch):
     sl.spectral_profile(ex3, chain_n=8, chain_trials=100, lyap_n=8,
                         lyap_trials=100, grid_size=96, seed=1)
     assert len(sl.conditioned_a1_atoms(ex3)) == 2
-    assert calls == [(96, 2), (96, 2)]
+    assert calls == [(2 * 96, 2)]
 
 
 def test_transfer_geometry_is_read_only(ex3):
