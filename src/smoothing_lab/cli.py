@@ -29,7 +29,6 @@ from .cascade import (
 )
 from .diagnostics import (
     decay_fit,
-    harmonic_floor_table,
     harmonic_moment,
     kill_counts,
     small_ball_exponent,
@@ -255,32 +254,20 @@ def cmd_diagnose(args) -> int:
         for j, dlt in enumerate(deltas):
             kc_rows.append(list(probes[i]) + [dlt, stats.means[i, j]])
 
-    norms = pool.norms()
-    pos = norms[norms > 0]
     summary: dict = {
         "a_hat_ecf": None if a_hat is None else [a_hat, ci[0], ci[1]],
         "min_E_Ndelta": stats.min_mean_per_delta().tolist(),
         "delta_grid": deltas.tolist(),
     }
-    if pos.size >= 100:
-        eps_grid = np.geomspace(np.quantile(pos, 2e-4 if pos.size >= 10_000
-                                            else 1e-2),
-                                np.quantile(pos, 2e-2 if pos.size >= 10_000
-                                            else 2e-1), 8)
-        try:
-            slope, sci = small_ball_exponent(pool, eps_grid, seed=args.seed)
-            summary["a0_smallball"] = [slope, sci[0], sci[1]]
-        except EmptyTail:
-            summary["a0_smallball"] = None
-    else:
+    try:
+        slope, sci = small_ball_exponent(pool, seed=args.seed)
+        summary["a0_smallball"] = [slope, sci[0], sci[1]]
+    except EmptyTail:
         summary["a0_smallball"] = None
     table = {}
     for b in args.harmonic_b:
-        value, stable = harmonic_moment(pool, b)
-        table[str(b)] = {
-            "estimate": value, "stable": stable,
-            "floors": harmonic_floor_table(pool, b),
-        }
+        value, finite = harmonic_moment(pool, b, seed=args.seed)
+        table[str(b)] = {"estimate": value, "finite": finite}
     summary["harmonic_table"] = table
 
     texts = [

@@ -23,7 +23,6 @@ _DECAY_MAX_MODULUS = 0.9      # radii whose modulus stays below this are fitted
 _DECAY_MIN_POINTS = 5
 _DECAY_BOOTSTRAPS = 500
 _SMALL_BALL_BOOTSTRAPS = 60
-_STABILITY_RTOL = 0.05        # harmonic-moment ladder steps within this are stable
 
 
 def sphere_grid(dim: int, n: int) -> np.ndarray:
@@ -184,39 +183,38 @@ def kill_counts(spec: ModelSpec, t_grid, delta_grid) -> KillCountStats:
 # Harmonic moments and the small-ball exponent
 # ---------------------------------------------------------------------------
 
-HARMONIC_FLOORS = (1e-6, 1e-8, 1e-10)
-_HARMONIC_FLOOR = 1e-8        # the floor of the reported estimate
+def harmonic_moment(pool, b: float, seed=0):
+    """(value, finite): harmonic moment of order b of the pool norms, and
+    whether E|Z|^(-b) is finite.
 
-
-def harmonic_floor_table(pool, b: float) -> dict:
-    """Floored harmonic-moment estimates E[max(|Z|, floor)^(-b)] per floor
-    of HARMONIC_FLOORS; OutOfRange when one overflows."""
+    value is the mean of max(|Z|, m)^(-b), with m the pool's smallest
+    positive norm, so value(c pool) = c^(-b) value(pool).  If
+    P[|Z| <= eps] ~ eps^a0, the moment is finite exactly when b < a0, so
+    finite is True when b lies below the interval of
+    `small_ball_exponent(pool, seed=seed)`, False when it lies above, and
+    None when b falls inside it or the pool resolves no tail (EmptyTail).
+    ValueError for an order that is not finite and positive or a pool with
+    no nonzero sample; OutOfRange when the value overflows.
+    """
     if not (np.isfinite(b) and b > 0):
         raise ValueError(f"the order b must be finite and positive, got {b}")
     norms = pool.norms()
+    pos = norms[norms > 0]
+    if not pos.size:
+        raise ValueError("the pool has no nonzero sample")
     with np.errstate(over="ignore"):
-        table = {f: float(np.mean(np.maximum(norms, f) ** (-b)))
-                 for f in HARMONIC_FLOORS}
-    if not np.isfinite(list(table.values())).all():
+        value = float(np.mean(np.maximum(norms, pos.min()) ** (-b)))
+    if not np.isfinite(value):
         raise OutOfRange(f"the harmonic moment of order {b} overflows")
-    return table
-
-
-def harmonic_moment(pool, b: float):
-    """(value, stable) floored harmonic moment of the pool norms at floor 1e-8.
-
-    The floored empirical mean is finite unless it overflows (OutOfRange);
-    divergence is operationalized as instability: the flag is True when successive floors
-    in a fixed ladder move the estimate by at most 5 % each.
-    """
-    table = harmonic_floor_table(pool, b)
-    value = table[_HARMONIC_FLOOR]
-    ladder = [table[f] for f in HARMONIC_FLOORS]
-    stable = all(
-        abs(ladder[i + 1] - ladder[i]) <= _STABILITY_RTOL * ladder[i]
-        for i in range(len(ladder) - 1)
-    )
-    return value, stable
+    try:
+        _, (lo, hi) = small_ball_exponent(pool, seed=seed)
+    except EmptyTail:
+        return value, None
+    if b < lo:
+        return value, True
+    if b > hi:
+        return value, False
+    return value, None
 
 
 def _resampled_counts(counts, k: int, rng, size: int) -> np.ndarray:
@@ -229,24 +227,35 @@ def _resampled_counts(counts, k: int, rng, size: int) -> np.ndarray:
     return rng.multinomial(k, bins / k, size=size)[:, :-1].cumsum(axis=1)
 
 
-def small_ball_exponent(pool, eps_grid, seed=0):
+def small_ball_exponent(pool, eps_grid=None, seed=0):
     """(slope, (lo, hi)): regression of log P[|Z| <= eps] on log eps.
 
-    EmptyTail when no sample falls below the largest grid value.  The
-    confidence interval is a bootstrap over pool resamples, each drawn as
-    its counts by `_resampled_counts`.
+    With no grid, eps runs over 8 geometric radii between quantiles of the
+    positive norms: 2e-4 to 2e-2 from 10k of them up, 1e-2 to 2e-1 below
+    that.  The grid scales with the pool, so the fit on c pool equals the
+    fit on the pool.  EmptyTail with fewer than 100 positive norms, or when
+    the pool's counts at the radii take fewer than two distinct values (a
+    point mass collapses the grid).  The confidence interval is a
+    bootstrap over pool resamples, each drawn as its counts by
+    `_resampled_counts`.
     """
+    norms = np.sort(pool.norms())
+    if eps_grid is None:
+        pos = norms[norms > 0]
+        if pos.size < 100:
+            raise EmptyTail(f"{pos.size} positive norms; the fit needs 100")
+        eps_grid = np.geomspace(np.quantile(pos, 2e-4 if pos.size >= 10_000
+                                            else 1e-2),
+                                np.quantile(pos, 2e-2 if pos.size >= 10_000
+                                            else 2e-1), 8)
     eps_grid = np.sort(np.asarray(eps_grid, dtype=float))
     if not eps_grid.size or not np.all((eps_grid > 0) & np.isfinite(eps_grid)):
         raise ValueError("eps grid must be nonempty, positive and finite")
-    norms = np.sort(pool.norms())
     k = norms.size
     counts = np.searchsorted(norms, eps_grid, side="right")
-    if counts[-1] == 0:
-        raise EmptyTail("no sample at or below the largest epsilon")
     keep = counts > 0
-    if keep.sum() < 2:
-        raise EmptyTail("fewer than two grid points are resolved by the pool")
+    if np.unique(counts[keep]).size < 2:
+        raise EmptyTail("the pool tells fewer than two grid radii apart")
     x = np.log(eps_grid[keep])
     design = np.vstack([x, np.ones_like(x)]).T
 

@@ -157,19 +157,41 @@ def test_diagnose_ex2(tmp_path):
     pool_path = tmp_path / "pool.csv"
     assert main(["simulate", "--model", "ex2", "--k", "20000", "--rounds",
                  "40", "--seed", "12", "--out", str(pool_path)]) == 0
-    prefix = tmp_path / "diag"
-    rc = main(["diagnose", "--model", "ex2", "--pool", str(pool_path),
-               "--seed", "13", "--out-prefix", str(prefix),
-               "--probes", "32", "--max-exp", "12"])
-    assert rc == 0
-    summary = json.loads((tmp_path / "diag_summary.json").read_text())
+    # the same pool at another scale: the tail verdicts must not move
+    scaled_path = tmp_path / "scaled.csv"
+    pool = sl.pool_from_csv(pool_path)
+    sl.pool_to_csv(sl.SamplePool(dim=2, samples=pool.samples * 1e3),
+                   scaled_path)
+    summaries = []
+    for path, prefix in ((pool_path, "diag"), (scaled_path, "scaled")):
+        rc = main(["diagnose", "--model", "ex2", "--pool", str(path),
+                   "--seed", "13", "--out-prefix", str(tmp_path / prefix),
+                   "--probes", "32", "--max-exp", "12",
+                   "--harmonic-b", "0.5", "8", "30"])
+        assert rc == 0
+        summaries.append(json.loads(
+            (tmp_path / f"{prefix}_summary.json").read_text()))
+    summary, scaled = summaries
     assert min(summary["min_E_Ndelta"]) >= 0.0
     assert summary["min_E_Ndelta"][0] >= 2.0
     assert summary["a_hat_ecf"] is not None and summary["a_hat_ecf"][0] > 0
-    assert "harmonic_table" in summary
     ecf_lines = (tmp_path / "diag_ecf.csv").read_text().splitlines()
     assert ecf_lines[0] == "radius,sup_modulus,stderr"
     assert len(ecf_lines) == 14  # exponents 0..12
+
+    _, lo, hi = summary["a0_smallball"]
+    assert scaled["a0_smallball"] == pytest.approx(summary["a0_smallball"],
+                                                   rel=1e-9)
+    verdicts = {}
+    for b, entry in summary["harmonic_table"].items():
+        assert set(entry) == {"estimate", "finite"}
+        b = float(b)
+        assert entry["finite"] is (True if b < lo else False if b > hi
+                                   else None)
+        verdicts[b] = entry["finite"]
+    assert verdicts == {0.5: True, 8.0: None, 30.0: False}
+    assert {float(b): e["finite"] for b, e in
+            scaled["harmonic_table"].items()} == verdicts
 
 
 def test_diagnose_empty_tail_gives_null(tmp_path, monkeypatch):
@@ -187,6 +209,30 @@ def test_diagnose_empty_tail_gives_null(tmp_path, monkeypatch):
                  "--probes", "8", "--max-exp", "4"]) == 0
     summary = json.loads((tmp_path / "diag_summary.json").read_text())
     assert summary["a0_smallball"] is None
+
+
+# one atom with two copies of A, where rho(2A) = 1 and 2A maps every z to
+# (|z|/2)(1, 1): the fixed point is a point mass
+QUARTER = [[0.25, 0.25], [0.25, 0.25]]
+POINT_MASS_MODEL = {"kind": "ExplicitAtoms", "dim": 2,
+                    "atoms": [{"prob": 1.0, "branch": [QUARTER, QUARTER]}]}
+
+
+def test_diagnose_point_mass_resolves_no_tail(tmp_path):
+    # the quantile grid of a point mass collapses to one radius, where the
+    # singular fit wrote a spurious "a0_smallball": [0.0, 0.0, 0.0]
+    model = tmp_path / "point-mass.json"
+    model.write_text(json.dumps(POINT_MASS_MODEL))
+    pool_path = tmp_path / "pool.csv"
+    assert main(["simulate", "--model", str(model), "--k", "1000",
+                 "--rounds", "5", "--seed", "1", "--out", str(pool_path)]) == 0
+    assert main(["diagnose", "--model", str(model), "--pool", str(pool_path),
+                 "--seed", "1", "--out-prefix", str(tmp_path / "diag"),
+                 "--probes", "8", "--max-exp", "4"]) == 0
+    summary = json.loads((tmp_path / "diag_summary.json").read_text())
+    assert summary["a0_smallball"] is None
+    assert summary["harmonic_table"]
+    assert all(e["finite"] is None for e in summary["harmonic_table"].values())
 
 
 def test_check_exits_zero_on_examples(capsys):

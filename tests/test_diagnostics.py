@@ -5,7 +5,6 @@ import pytest
 
 import smoothing_lab as sl
 from smoothing_lab import _common, diagnostics
-from smoothing_lab.diagnostics import harmonic_floor_table
 from smoothing_lab.errors import EmptyTail, InsufficientDecay
 
 from conftest import A1, A2
@@ -277,16 +276,29 @@ def test_largest_stable_delta(ex2):
 
 def test_harmonic_moment_constant_pool():
     pool = constant_pool(np.array([1.0, 1.0]))  # |z| = 2
-    value, stable = sl.harmonic_moment(pool, b=1.0)
+    value, finite = sl.harmonic_moment(pool, b=1.0)
     assert value == pytest.approx(0.5, abs=1e-15)
-    assert stable
+    assert finite is None           # a point mass resolves no tail
 
 
-def test_harmonic_moment_monotone_in_floor(small_pool_ex1):
-    table = harmonic_floor_table(small_pool_ex1, 0.7)
-    assert list(table) == [1e-6, 1e-8, 1e-10]
-    assert table[1e-6] <= table[1e-8] <= table[1e-10]
-    assert sl.harmonic_moment(small_pool_ex1, 0.7)[0] == table[1e-8]
+def test_tail_verdicts_do_not_depend_on_the_pool_scale(ex3):
+    # the problem fixes no scale: at a fixed absolute floor ladder b = 0.4
+    # (a finite moment) read unstable at scale 1e-6, and b = 1.5 (an
+    # infinite one) stable at scale 1e3
+    init = sl.heavy_tail_pool(ex3, 200_000, 0.5779, seed=11)
+    pool, _ = sl.run_fixed_point(ex3, k=200_000, rounds=25, seed=11,
+                                 initial_pool=init)
+    slope, ci = sl.small_ball_exponent(pool)
+    values = {b: sl.harmonic_moment(pool, b)[0] for b in (0.4, 1.5)}
+    for c in (1e-6, 1.0, 1e3):
+        scaled = sl.SamplePool(dim=2, samples=pool.samples * c)
+        slope_c, ci_c = sl.small_ball_exponent(scaled)
+        assert slope_c == pytest.approx(slope, rel=1e-9)
+        assert ci_c == pytest.approx(ci, rel=1e-9)
+        for b, finite in ((0.4, True), (1.5, False)):
+            value, verdict = sl.harmonic_moment(scaled, b)
+            assert verdict is finite
+            assert value == pytest.approx(c ** -b * values[b], rel=1e-9)
 
 
 def test_small_ball_uniform_slope():
@@ -329,6 +341,10 @@ def test_small_ball_empty_tail():
     pool = constant_pool(np.array([2.0, 2.0]))
     with pytest.raises(EmptyTail):
         sl.small_ball_exponent(pool, np.geomspace(1e-4, 1e-1, 6))
+    # a point mass collapses the quantile grid to one radius, where the
+    # singular fit gave a spurious slope 0.0
+    with pytest.raises(EmptyTail):
+        sl.small_ball_exponent(constant_pool(np.array([1.0, 1.0]), 1000))
 
 
 NAN = float("nan")
