@@ -83,12 +83,14 @@ def heavy_tail_pool(spec: ModelSpec, k: int, tail_index: float,
 
     Regularly varying initial conditions are the basin of the fixed point
     when the mean matrix has spectral radius below one (the point-mass
-    iteration then collapses to zero in probability).  k is charged against
-    the node budget before anything is allocated; OutOfRange when a draw
-    overflows.
+    iteration then collapses to zero in probability).  ValueError unless
+    tail_index is finite and positive (u^-0 is 1, so an infinite index gives a
+    constant pool).  k is charged against the node budget before anything is
+    allocated; OutOfRange when a draw overflows.
     """
-    if not 0 < tail_index:
-        raise ValueError("tail_index must be positive")
+    if not 0 < tail_index < np.inf:
+        raise ValueError(f"tail_index must be finite and positive, got "
+                         f"{tail_index}")
     charge_budget(k, resolve_budget(DEFAULT_NODE_BUDGET), "pool size k")
     rng = as_generator(seed)
     direction = pf_decompose(mean_sum_matrix(spec))
@@ -165,9 +167,10 @@ def run_fixed_point(spec: ModelSpec, k: int, rounds: int, init=None, seed=0,
     Returns (pool, mean_norm_history); the history has rounds + 1 entries and
     starts with the initial pool.  An explicit initial_pool of k samples
     replaces init, and ValueError when it comes with init or with another
-    size.  k is charged against the node budget before anything is
-    allocated.  OutOfRange as soon as a mean norm in the history is not
-    finite.
+    size.  ValueError when init has no positive entry: the pool would stay
+    at the trivial fixed point 0.  k is charged against the node budget
+    before anything is allocated.  OutOfRange as soon as a mean norm in the
+    history is not finite.
 
     The rounds write into two (dim, k) arrays in turn and share one block
     scratch, all allocated once, so a round allocates only its narrow atom
@@ -186,6 +189,8 @@ def run_fixed_point(spec: ModelSpec, k: int, rounds: int, init=None, seed=0,
     else:
         if init is None:
             init = pf_decompose(mean_sum_matrix(spec))
+        elif not (np.asarray(init, dtype=float) > 0).any():
+            raise ValueError("init must have a positive entry")
         pool = constant_pool(init, k)
     history = [_mean_norm(pool)]
     scratch = _pool_scratch(spec.branch_table, spec.dim, k)

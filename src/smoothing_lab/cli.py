@@ -21,46 +21,16 @@ import numpy as np
 
 from . import __version__
 from ._common import open_replacing
-from .cascade import (
-    heavy_tail_pool,
-    pool_from_csv,
-    pool_to_csv,
-    run_fixed_point,
-)
-from .diagnostics import (
-    decay_fit,
-    harmonic_moment,
-    kill_counts,
-    small_ball_exponent,
-    sphere_grid,
-    transform_curve,
-)
 from .errors import (
     BudgetExceeded,
     EmptyTail,
     InsufficientDecay,
     SmoothingLabError,
 )
-from .models import (
-    EXAMPLE_NAMES,
-    check_furstenberg_kesten,
-    check_iid_coefficients,
-    example_path,
-    expected_n,
-    load_model,
-    prob_n_equals,
-)
-from .spectral import spectral_profile
-from .support import (
-    check_allowability,
-    check_positivity,
-    cone_hull,
-    empirical_support_check,
-    enumerate_semigroup,
-    lambda_set,
-    lambda_stability,
-    search_radius_witnesses,
-)
+from .models import EXAMPLE_NAMES, example_path, load_model
+
+# each command imports its own layers, so a process loads only the layers
+# of the command it runs
 
 
 def _fmt(x: float) -> str:
@@ -145,6 +115,8 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
+    from .cascade import heavy_tail_pool, pool_to_csv, run_fixed_point
+
     spec, model_path = _load_model_arg(args.model)
     initial_pool = None
     init = None
@@ -167,6 +139,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .spectral import spectral_profile
+
     spec, model_path = _load_model_arg(args.model)
     s_grid = None
     if args.s_grid:
@@ -196,6 +170,11 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_support(args) -> int:
+    from .support import (check_allowability, check_positivity, cone_hull,
+                          empirical_support_check, enumerate_semigroup,
+                          lambda_set, lambda_stability,
+                          search_radius_witnesses)
+
     spec, model_path = _load_model_arg(args.model)
     enum = enumerate_semigroup(spec, args.length)
     dirs = lambda_set(enum)
@@ -215,6 +194,8 @@ def cmd_support(args) -> int:
         if hull is None:
             raise ValueError("no strictly positive semigroup element at this "
                              "depth, so there is no cone to test")
+        from .cascade import pool_from_csv
+
         pool = pool_from_csv(args.pool)
         frac, gaps = empirical_support_check(pool, hull)
         payload["inside_fraction"] = frac
@@ -233,6 +214,11 @@ def cmd_support(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    from .cascade import pool_from_csv
+    from .diagnostics import (decay_fit, harmonic_moment, kill_counts,
+                              small_ball_exponent, sphere_grid,
+                              transform_curve)
+
     spec, model_path = _load_model_arg(args.model)
     pool = pool_from_csv(args.pool)
     if pool.dim != spec.dim:
@@ -283,6 +269,12 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .diagnostics import kill_counts, sphere_grid
+    from .models import (check_furstenberg_kesten, check_iid_coefficients,
+                         expected_n, prob_n_equals)
+    from .support import (check_allowability, check_positivity,
+                          enumerate_semigroup, search_radius_witnesses)
+
     spec, model_path = _load_model_arg(args.model)
     enum = enumerate_semigroup(spec, args.length)
     fk_holds, fk_c = check_furstenberg_kesten(spec)

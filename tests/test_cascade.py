@@ -190,6 +190,12 @@ def test_run_fixed_point_initial_pool_replaces_init(ex1):
                            initial_pool=start)
 
 
+def test_run_fixed_point_rejects_init_without_a_positive_entry(ex1):
+    # from the zero vector every round returned the trivial fixed point 0
+    with pytest.raises(ValueError, match="positive entry"):
+        sl.run_fixed_point(ex1, k=10, rounds=3, init=[0.0, 0.0], seed=0)
+
+
 def test_run_fixed_point_preserves_mean_direction(ex1):
     # the scale of the pool mean performs an unresisted random walk along the
     # unit-eigenvalue direction, so only the componentwise ratio is pinned
@@ -510,6 +516,14 @@ def test_survival_counts_grid_floor_ex2(ex2):
 def test_heavy_tail_pool_positive(ex3):
     pool = sl.heavy_tail_pool(ex3, 1000, 0.6, seed=3)
     assert pool.norms().min() >= 1.0 - 1e-12  # Pareto weights start at one
+
+
+@pytest.mark.parametrize("tail_index", [np.inf, np.nan])
+def test_heavy_tail_pool_rejects_bad_tail_index(ex3, tail_index):
+    # u ** -(1 / inf) is 1: an infinite index drew a constant pool, and the
+    # CLI failed only when it wrote the index into the manifest
+    with pytest.raises(ValueError, match="finite and positive"):
+        sl.heavy_tail_pool(ex3, 1000, tail_index, seed=3)
 
 
 def test_pool_csv_roundtrip(tmp_path, ex1):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import smoothing_lab as sl
-from smoothing_lab import _common, cli
+from smoothing_lab import _common, cli, diagnostics, spectral
 from smoothing_lab.cli import main
 from smoothing_lab.errors import EmptyTail
 
@@ -202,7 +202,7 @@ def test_diagnose_empty_tail_gives_null(tmp_path, monkeypatch):
     def empty_tail(*args, **kwargs):
         raise EmptyTail("no sample at or below the largest epsilon")
 
-    monkeypatch.setattr(cli, "small_ball_exponent", empty_tail)
+    monkeypatch.setattr(diagnostics, "small_ball_exponent", empty_tail)
     prefix = tmp_path / "diag"
     assert main(["diagnose", "--model", "ex2", "--pool", str(pool_path),
                  "--seed", "13", "--out-prefix", str(prefix),
@@ -376,6 +376,14 @@ MODEL_FILES = {
     (["check", "--model", "atom-lists.json"], "malformed"),
     (["simulate", "--model", "ex1", "--k", "x", "--rounds", "1", "--seed",
       "1", "--out", "p.csv"], "invalid int value"),
+    (["diagnose", "--model", "ex1", "--pool", "good.csv", "--seed", "1",
+      "--out-prefix", "d", "--max-exp", "60"], "max_exp"),
+    (["diagnose", "--model", "ex1", "--pool", "good.csv", "--seed", "1",
+      "--out-prefix", "d", "--max-exp", "1100"], "max_exp"),
+    (["simulate", "--model", "ex1", "--k", "10", "--rounds", "1", "--seed",
+      "1", "--out", "p.csv", "--init", "0,0"], "positive entry"),
+    (["simulate", "--model", "ex1", "--k", "10", "--rounds", "1", "--seed",
+      "1", "--out", "p.csv", "--init-tail-index", "inf"], "tail_index"),
 ], ids=["diagnose-missing", "diagnose-malformed", "diagnose-negative",
         "support-missing", "support-malformed", "support-negative",
         "simulate-k0", "simulate-tail-index", "spectrum-chain-n",
@@ -385,7 +393,8 @@ MODEL_FILES = {
         "spectrum-s-grid-nan", "diagnose-harmonic-b-nan",
         "simulate-init-and-tail-index", "spectrum-grid-size-1", "model-dim-str",
         "model-dim-missing", "model-list", "model-atom-lists",
-        "simulate-k-not-int"])
+        "simulate-k-not-int", "diagnose-max-exp-60", "diagnose-max-exp-1100",
+        "simulate-init-zero", "simulate-tail-index-inf"])
 def test_bad_input_exit_code(tmp_path, monkeypatch, capsys, argv, says):
     monkeypatch.chdir(tmp_path)
     for name, text in POOL_FILES.items():
@@ -521,14 +530,14 @@ def test_spectrum_non_finite_kappa_writes_nothing(tmp_path, monkeypatch,
                                                  capsys):
     # the CSV is checked before the JSON is written: a nan that got past
     # the estimators leaves no JSON behind
-    real = cli.spectral_profile
+    real = spectral.spectral_profile
 
     def nan_kappa(*args, **kwargs):
         profile = real(*args, **kwargs)
         profile.kappa[0] = float("nan")
         return profile
 
-    monkeypatch.setattr(cli, "spectral_profile", nan_kappa)
+    monkeypatch.setattr(spectral, "spectral_profile", nan_kappa)
     monkeypatch.chdir(tmp_path)
     assert main(["spectrum", "--model", "ex1", "--seed", "1", "--out-prefix",
                  "P", "--s-grid", "0.5", "--chain-n", "8", "--trials", "200",
@@ -540,7 +549,7 @@ def test_spectrum_non_finite_kappa_writes_nothing(tmp_path, monkeypatch,
 def test_diagnose_non_finite_summary_writes_nothing(tmp_path, monkeypatch,
                                                     capsys):
     # the summary JSON is checked before the two CSVs are written
-    monkeypatch.setattr(cli, "decay_fit",
+    monkeypatch.setattr(diagnostics, "decay_fit",
                         lambda *args, **kwargs: (float("nan"), (0.5, 1.5)))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "p.csv").write_text(POOL_FILES["good.csv"])

@@ -121,6 +121,20 @@ def test_transform_curve_rejects_negative_max_exp(small_pool_ex1):
         sl.transform_curve(small_pool_ex1, max_exp=-1)
 
 
+@pytest.mark.parametrize("max_exp", [37, 60, 1100])
+def test_transform_curve_rejects_max_exp_past_the_cap(small_pool_ex1,
+                                                      max_exp):
+    # 60 squarings wrote sup moduli up to 1e59, and 1100 overflowed
+    with pytest.raises(ValueError, match="max_exp"):
+        sl.transform_curve(small_pool_ex1, max_exp=max_exp)
+
+
+def test_transform_curve_at_the_cap_stays_a_modulus(small_pool_ex1):
+    curve = sl.transform_curve(small_pool_ex1, max_exp=36)
+    assert curve.radii[-1] == 2.0 ** 36
+    assert curve.modulus.max() <= 1.0 + 1e-5
+
+
 def test_decay_fit_exact_power_law():
     radii = 2.0 ** np.arange(0, 12)
     curve = sl.TransformCurve(

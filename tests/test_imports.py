@@ -42,6 +42,74 @@ SING3 = {"dim": 3, "kind": "ExplicitAtoms", "atoms": [
 ]}
 
 
+def _run_fresh(code: str, cwd) -> str:
+    """stdout of `code` run in a fresh interpreter that imports this package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_package_import_loads_no_layer(tmp_path):
+    out = _run_fresh("""
+import sys
+import smoothing_lab as sl
+print(sorted(m for m in sys.modules if m.startswith("smoothing_lab.")))
+print(sl.models.EXAMPLE_NAMES)    # a submodule before any other name
+print([n for n in sl.__all__ if n not in dir(sl) or getattr(sl, n).__name__ != n])
+""", tmp_path)
+    assert out.splitlines() == ["[]", "('ex1', 'ex2', 'ex3')", "[]"]
+
+
+def test_package_names_are_looked_up_in_their_layer(monkeypatch):
+    # a tracer swaps a layer's functions and puts them back; a reference the
+    # package kept would record spans after the tracer was gone
+    from smoothing_lab import cascade
+
+    original = cascade.martingale_samples
+    assert smoothing_lab.martingale_samples is original
+    monkeypatch.setattr(cascade, "martingale_samples", len)
+    assert smoothing_lab.martingale_samples is len
+    monkeypatch.undo()
+    assert smoothing_lab.martingale_samples is original
+
+
+# every command loads the parser's modules; each loads only its own layers
+PARSER_MODULES = {"cli", "_common", "errors", "matrices", "models"}
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["simulate", "--model", "ex2", "--k", "2000", "--rounds", "5",
+      "--seed", "1", "--out", "new.csv"], {"cascade"}),
+    (["diagnose", "--model", "ex2", "--pool", "pool.csv", "--seed", "1",
+      "--out-prefix", "d", "--probes", "8", "--max-exp", "6"],
+     {"cascade", "diagnostics"}),
+    (["spectrum", "--model", "ex3", "--seed", "1", "--out-prefix", "s",
+      "--chain-n", "8", "--trials", "100", "--lyap-n", "10",
+      "--lyap-trials", "100", "--grid-size", "8"], {"spectral"}),
+    (["support", "--model", "ex2", "--out", "s.json"], {"support"}),
+    (["support", "--model", "ex2", "--pool", "pool.csv", "--out", "s.json"],
+     {"cascade", "support"}),
+    (["check", "--model", "ex2"], {"cascade", "diagnostics", "support"}),
+], ids=["simulate", "diagnose", "spectrum", "support", "support-pool",
+        "check"])
+def test_each_command_loads_only_its_layers(tmp_path, argv, layers):
+    pool, _ = smoothing_lab.run_fixed_point(
+        smoothing_lab.example_model("ex2"), k=2000, rounds=5, seed=1)
+    smoothing_lab.pool_to_csv(pool, tmp_path / "pool.csv")
+    out = _run_fresh(f"""
+import sys
+from smoothing_lab.cli import main
+assert main({argv!r}) == 0
+print(sorted(m for m in sys.modules if m.startswith("smoothing_lab.")))
+""", tmp_path)
+    assert out.splitlines()[-1] == str(
+        sorted(f"smoothing_lab.{m}" for m in PARSER_MODULES | layers))
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_support_below_four_dims_never_imports_scipy(tmp_path, dim):
     # a 2-dim model's cone is a segment and a 3-dim model's a polygon, both
@@ -60,12 +128,6 @@ assert main(["support", "--model", {model!r}, "--pool", "pool.csv",
              "--out", "support.json"]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(PACKAGE.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _run_fresh(code, tmp_path).strip() == "[]"
     hull = json.loads((tmp_path / "support.json").read_text())["hull_extremes"]
     assert len(hull) >= dim and len(hull[0]) == dim   # a polygon for dim 3
