@@ -183,8 +183,8 @@ def cmd_support(args) -> int:
         "lambda_directions": [v.tolist() for v, _ in dirs],
         "lambda_words": [list(w) for _, w in dirs],
         "lambda_stable": lambda_stability(enum),
-        "allowability": check_allowability(enum),
-        "positivity": check_positivity(enum),
+        "allowability": check_allowability(spec),
+        "positivity": check_positivity(spec),
     }
     hull = None
     if dirs:
@@ -273,10 +273,9 @@ def cmd_check(args) -> int:
     from .models import (check_furstenberg_kesten, check_iid_coefficients,
                          expected_n, prob_n_equals)
     from .support import (check_allowability, check_positivity,
-                          enumerate_semigroup, search_radius_witnesses)
+                          search_radius_witnesses)
 
-    spec, model_path = _load_model_arg(args.model)
-    enum = enumerate_semigroup(spec, args.length)
+    spec, _ = _load_model_arg(args.model)
     fk_holds, fk_c = check_furstenberg_kesten(spec)
     res = search_radius_witnesses(spec)
     probes = sphere_grid(spec.dim, args.grid)
@@ -288,9 +287,9 @@ def cmd_check(args) -> int:
     rows = [
         ("branching", expected_n(spec) > 1.0,
          f"E[N] = {expected_n(spec):.6g}, P[N=1] = {prob_n_equals(spec, 1):.6g}"),
-        ("allowability", check_allowability(enum),
-         f"all {len(enum.elements)} products up to length {args.length}"),
-        ("positivity", check_positivity(enum),
+        ("allowability", check_allowability(spec),
+         "each generator has a positive entry in every row and column"),
+        ("positivity", check_positivity(spec),
          "some product strictly positive"),
         ("radius_witnesses", res.small is not None and res.large is not None,
          "r(l1) = {}, r(l2) = {}".format(
@@ -314,7 +313,7 @@ def cmd_check(args) -> int:
     print("\n".join(lines))
     if args.json:
         _write_texts([_json_text(args.json, {
-            "model": model_path,
+            "model": args.model,
             "results": [
                 {"name": n, "holds": bool(ok), "detail": d} for n, ok, d in rows
             ],
@@ -384,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the model-condition checkers")
     p.add_argument("--model", required=True)
-    p.add_argument("--length", type=int, default=3)
     p.add_argument("--grid", type=int, default=128)
     p.add_argument("--json", default=None, help="also write verdicts as JSON")
     p.set_defaults(func=cmd_check)

@@ -6,7 +6,7 @@ class SmoothingLabError(Exception):
 
 
 class NotPrimitive(SmoothingLabError):
-    """No power of the matrix up to the Wielandt bound is strictly positive."""
+    """No power of the matrix is strictly positive."""
 
 
 class ZeroColumn(SmoothingLabError):

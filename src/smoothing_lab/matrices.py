@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._common import as_generator
+from ._common import (DEFAULT_ELEMENT_BUDGET, as_generator, charge_budget,
+                      resolve_budget)
 from .errors import NoConvergence, NotPrimitive, SingularDirection, ZeroColumn
 
 _CONTRACTION_STREAM = 0x9E3779B97F4A7C15  # fixed stream: estimates are pure in (g, pairs)
@@ -57,22 +58,24 @@ def spectral_radius(a) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
-def primitivity_index(a) -> int | None:
-    """Smallest k with a^k > 0, searched up to the Wielandt bound; None if absent."""
-    a = check_nonneg_matrix(a)
-    d = a.shape[0]
-    bound = (d - 1) ** 2 + 1
-    reach = a > 0
-    step = a > 0
-    for k in range(1, bound + 1):
-        if reach.all():
-            return k
-        reach = (reach.astype(np.int64) @ step.astype(np.int64)) > 0
-    return bound + 1 if reach.all() else None
+def _pattern_closure(mats):
+    """Zero patterns (a > 0) of all products of `mats`, each yielded once,
+    shortest words first: a semigroup of at most 2^(d^2) patterns, each new
+    one charged against the element budget."""
+    budget = resolve_budget(DEFAULT_ELEMENT_BUDGET)
+    gens = [np.asarray(m) > 0 for m in mats]
+    seen: set = set()
+    walk = list(gens)        # grows while it is walked
+    for p in walk:
+        if p.tobytes() not in seen:
+            seen.add(p.tobytes())
+            charge_budget(len(seen), budget, "zero-pattern closure")
+            yield p
+            walk.extend(p @ g for g in gens)
 
 
 def is_primitive(a) -> bool:
-    return primitivity_index(a) is not None
+    return any(p.all() for p in _pattern_closure([check_nonneg_matrix(a)]))
 
 
 def _power_direction(apply, d: int, tol: float, max_iter: int) -> np.ndarray:
@@ -97,8 +100,8 @@ def pf_decompose(a) -> np.ndarray:
 
     Deterministic: power iteration from the uniform direction.
 
-    Raises NotPrimitive when no power of a up to the Wielandt bound is
-    strictly positive (identity, permutations, the zero matrix).
+    Raises NotPrimitive when no power of a is strictly positive (identity,
+    permutations, the zero matrix).
     """
     a = check_nonneg_matrix(a)
     if not is_primitive(a):

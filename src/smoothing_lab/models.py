@@ -96,7 +96,7 @@ class BranchTable:
             a.flags.writeable = False
         return table
 
-    def draw(self, rng, size=None, out=None, u=None):
+    def draw(self, rng, size, out=None, u=None):
         """Atom ids drawn i.i.d. from probs: the ids, and the uniforms
         consumed, of rng.choice(B, size, p=probs), bit for bit.
 
@@ -114,7 +114,7 @@ class BranchTable:
             ids[...] = 0
             for c in self.cdf[:-1]:
                 ids += u >= c
-        return int(ids) if size is None else ids
+        return ids
 
     def row(self, i: int, ids: np.ndarray, x: np.ndarray, out=None,
             term=None) -> np.ndarray:

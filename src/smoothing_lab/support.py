@@ -1,10 +1,10 @@
 """Support machinery: semigroup enumeration, eigen-direction cones, radius
 witnesses, and the greedy expansion used to fill segments of a ray.
 
-The semigroup of the single-matrix law and the eigen-directions of its
-strictly positive elements are infinite closures; everything here reports
-finite-depth proxies with an explicit depth and a stability flag rather
-than claiming the closure itself.
+Allowability and positivity of the single-matrix law's semigroup are exact,
+read off the generators' zero patterns.  The semigroup itself and the
+eigen-directions of its positive elements are infinite closures, reported as
+finite-depth proxies with an explicit depth and a stability flag.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from ._common import DEFAULT_ELEMENT_BUDGET, charge_budget, resolve_budget
 from .errors import OutOfRange, WitnessNotFound
-from .matrices import pf_decompose, spectral_radius
+from .matrices import _pattern_closure, pf_decompose, spectral_radius
 from .models import ModelSpec, mu_support, same_matrix
 
 DIRECTION_DEDUP_TOL = 1e-10
@@ -83,17 +83,16 @@ def enumerate_semigroup(spec: ModelSpec, max_length: int) -> SemigroupEnumeratio
                                 elements=tuple(stack[:len(words)]))
 
 
-def check_allowability(enum: SemigroupEnumeration) -> bool:
-    """Every enumerated element has a positive entry in each row and column."""
-    for m in enum.elements:
-        if np.any((m > 0).sum(axis=1) == 0) or np.any((m > 0).sum(axis=0) == 0):
-            return False
-    return True
+def check_allowability(spec: ModelSpec) -> bool:
+    """Every generator, and so every product of generators, has a positive
+    entry in each row and column."""
+    return all((g > 0).any(axis=0).all() and (g > 0).any(axis=1).all()
+               for g in mu_support(spec))
 
 
-def check_positivity(enum: SemigroupEnumeration) -> bool:
-    """Some enumerated element is entrywise strictly positive."""
-    return any(np.all(m > 0) for m in enum.elements)
+def check_positivity(spec: ModelSpec) -> bool:
+    """Some product of the generators is entrywise strictly positive."""
+    return any(p.all() for p in _pattern_closure(mu_support(spec)))
 
 
 def _distinct(vectors) -> list:
@@ -240,6 +239,9 @@ def membership_fractions(hull: ConeHull, dirs: np.ndarray,
     """Vectorized membership for an (n, d) stack of unit-L1 directions."""
     _check_tol(tol)
     _check_finite(dirs, "dirs")
+    if dirs.shape[-1] != hull.origin.size:
+        raise ValueError(f"directions of dimension {dirs.shape[-1]} against "
+                         f"a cone of dimension {hull.origin.size}")
     y = dirs - hull.origin
     coords = y @ hull.basis.T
     in_span = np.abs(y - coords @ hull.basis).sum(axis=1) <= tol

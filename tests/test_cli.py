@@ -237,8 +237,7 @@ def test_diagnose_point_mass_resolves_no_tail(tmp_path):
 
 def test_check_exits_zero_on_examples(capsys):
     for name in ("ex1", "ex2", "ex3"):
-        assert main(["check", "--model", name, "--length", "2",
-                     "--grid", "32"]) == 0
+        assert main(["check", "--model", name, "--grid", "32"]) == 0
         out = capsys.readouterr().out
         assert "branching" in out and "entry_ratio" in out
 
@@ -246,8 +245,10 @@ def test_check_exits_zero_on_examples(capsys):
 def test_check_json_output(tmp_path):
     out = tmp_path / "check.json"
     assert main(["check", "--model", "ex2", "--json", str(out),
-                 "--length", "2", "--grid", "32"]) == 0
+                 "--grid", "32"]) == 0
     payload = json.loads(out.read_text())
+    # the model as given: a resolved path would differ between checkouts
+    assert payload["model"] == "ex2"
     names = {r["name"]: r["holds"] for r in payload["results"]}
     assert names["branching"] and names["entry_ratio"]
     assert names["survival_counts"]
@@ -259,11 +260,60 @@ def test_check_ex1_survival_verdict(tmp_path):
     # (a1, a1) branch, so the survival verdict must be negative here
     out = tmp_path / "check1.json"
     assert main(["check", "--model", "ex1", "--json", str(out),
-                 "--length", "2", "--grid", "128"]) == 0
+                 "--grid", "128"]) == 0
     payload = json.loads(out.read_text())
     names = {r["name"]: r["holds"] for r in payload["results"]}
     assert names["iid_coefficients"]
     assert not names["survival_counts"]
+
+
+def _wielandt_matrix():
+    # the 4-dim Wielandt pattern: its first positive power is the tenth
+    w = np.zeros((4, 4))
+    w[[0, 1, 2], [1, 2, 3]] = 1.0
+    w[3, [0, 1]] = 1.0
+    return (w / 2).tolist()
+
+
+EXACT_CHECK_MODELS = {
+    "wielandt.json": ({"kind": "ExplicitAtoms", "dim": 4, "atoms": [
+        {"prob": 0.5, "branch": [_wielandt_matrix()]},
+        {"prob": 0.5, "branch": [_wielandt_matrix()] * 3}]},
+        {"allowability": True, "positivity": True}),
+    "zero-row.json": ({"kind": "ExplicitAtoms", "dim": 2, "atoms": [
+        {"prob": 1.0, "branch": [[[1.0, 1.0], [0.0, 0.0]]] * 3}]},
+        {"allowability": False, "positivity": False}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_CHECK_MODELS))
+def test_allowability_and_positivity_do_not_depend_on_a_depth(tmp_path, name):
+    # the Wielandt product first turns positive at length 10, past every
+    # depth asked for; a zero row shows at length 1, past depth 0
+    model, expected = EXACT_CHECK_MODELS[name]
+    path = tmp_path / name
+    path.write_text(json.dumps(model))
+    assert main(["check", "--model", str(path), "--grid", "16",
+                 "--json", str(tmp_path / "check.json")]) == 0
+    results = json.loads((tmp_path / "check.json").read_text())["results"]
+    verdicts = {r["name"]: r["holds"] for r in results}
+    for length in ("0", "3"):
+        assert main(["support", "--model", str(path), "--length", length,
+                     "--out", str(tmp_path / "sup.json")]) == 0
+        payload = json.loads((tmp_path / "sup.json").read_text())
+        for key, holds in expected.items():
+            assert verdicts[key] is holds and payload[key] is holds
+
+
+def test_check_enumerates_no_semigroup(monkeypatch, capsys):
+    from smoothing_lab import support
+
+    def refuse(*args):
+        raise AssertionError("check enumerated the semigroup")
+
+    monkeypatch.setattr(support, "enumerate_semigroup", refuse)
+    assert main(["check", "--model", "ex2", "--grid", "16"]) == 0
+    assert "positivity        PASS" in capsys.readouterr().out
 
 
 def test_budget_exit_code(tmp_path, monkeypatch):
@@ -306,7 +356,9 @@ def test_bad_budget_exit_code(tmp_path, monkeypatch, capsys, value):
 POOL_FILES = {"bad.csv": "x0,x1\n1,2,3\n", "neg.csv": "x0,x1\n1,-2\n",
               "good.csv": "z0,z1\n0.4,0.6\n0.2,0.3\n",
               "nan.csv": "z0,z1\n0.4,0.6\nnan,0.3\n",
-              "inf.csv": "z0,z1\n0.4,inf\n0.2,0.3\n"}
+              "inf.csv": "z0,z1\n0.4,inf\n0.2,0.3\n",
+              "dim1.csv": "z0\n0.4\n0.2\n",
+              "dim3.csv": "z0,z1,z2\n0.4,0.6,0.1\n0.2,0.3,0.5\n"}
 
 HALF = [[0.5, 0.5], [0.5, 0.5]]
 MODEL_FILES = {
@@ -355,6 +407,12 @@ MODEL_FILES = {
      "non-finite"),
     (["support", "--model", "ex1", "--pool", "inf.csv", "--out", "s.json"],
      "non-finite"),
+    (["support", "--model", "ex1", "--pool", "dim1.csv", "--out", "s.json"],
+     "directions of dimension 1 against a cone of dimension 2"),
+    (["support", "--model", "ex1", "--pool", "dim3.csv", "--out", "s.json"],
+     "directions of dimension 3 against a cone of dimension 2"),
+    (["check", "--model", "ex2", "--length", "2"],
+     "unrecognized arguments: --length 2"),
     (["diagnose", "--model", "ex1", "--pool", "good.csv", "--seed", "1",
       "--out-prefix", "d", "--max-exp", "-1"], "max_exp"),
     (["simulate", "--model", "ex1", "--k", "10", "--rounds", "1", "--seed",
@@ -389,7 +447,8 @@ MODEL_FILES = {
         "simulate-k0", "simulate-tail-index", "spectrum-chain-n",
         "support-length", "spectrum-trials", "spectrum-lyap-trials",
         "diagnose-probes", "diagnose-nan", "diagnose-inf", "support-nan",
-        "support-inf", "diagnose-max-exp", "simulate-init-nan",
+        "support-inf", "support-pool-dim1", "support-pool-dim3",
+        "check-length", "diagnose-max-exp", "simulate-init-nan",
         "spectrum-s-grid-nan", "diagnose-harmonic-b-nan",
         "simulate-init-and-tail-index", "spectrum-grid-size-1", "model-dim-str",
         "model-dim-missing", "model-list", "model-atom-lists",
@@ -648,7 +707,6 @@ def test_every_subcommand_runs_on_every_example(tmp_path):
                      "--out-prefix", str(tmp_path / f"{name}_diag"),
                      "--probes", "16", "--max-exp", "8"]) == 0
         files = _check_new_files(tmp_path, files)
-        assert main(["check", "--model", name, "--length", "2",
-                     "--grid", "16",
+        assert main(["check", "--model", name, "--grid", "16",
                      "--json", str(tmp_path / f"{name}_check.json")]) == 0
         files = _check_new_files(tmp_path, files)

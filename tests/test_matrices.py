@@ -102,6 +102,34 @@ def test_pf_decompose_identity_not_primitive():
         sl.pf_decompose(np.zeros((2, 2)))
 
 
+def wielandt_primitive(a) -> bool:
+    """The reference: a is primitive exactly when its power at the
+    Wielandt bound (d - 1)^2 + 1 is positive, walked one power at a time."""
+    step = (a > 0).astype(np.int64)
+    reach = step > 0
+    for _ in range((a.shape[0] - 1) ** 2):
+        reach = (reach.astype(np.int64) @ step) > 0
+    return bool(reach.all())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_is_primitive_matches_the_wielandt_bound(d):
+    rng = np.random.default_rng(d)
+    verdicts = []
+    for _ in range(500):
+        a = (rng.uniform(size=(d, d)) < rng.uniform()).astype(float)
+        verdicts.append(sl.is_primitive(a))
+        assert verdicts[-1] == wielandt_primitive(a), a
+    assert d == 1 or (any(verdicts) and not all(verdicts))
+    # the cycle is not primitive; one more edge gives the Wielandt matrix,
+    # whose first positive power is the last one the bound allows
+    cycle = np.eye(d)[np.roll(np.arange(d), -1)]
+    assert sl.is_primitive(cycle) is (d == 1) is wielandt_primitive(cycle)
+    if d > 1:
+        cycle[-1, 1] = 1.0
+        assert sl.is_primitive(cycle) and wielandt_primitive(cycle)
+
+
 def test_pf_decompose_roundtrip_random():
     rng = np.random.default_rng(11)
     for _ in range(25):

@@ -89,18 +89,37 @@ def test_enumerate_budget(monkeypatch):
 
 
 def test_allowability(ex1):
-    assert sl.check_allowability(sl.enumerate_semigroup(ex1, 3))
-    assert sl.check_allowability(sl.enumerate_semigroup(iid_spec([np.eye(2)]), 4))
+    assert sl.check_allowability(ex1)
+    assert sl.check_allowability(iid_spec([np.eye(2)]))
     nil = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert not sl.check_allowability(sl.enumerate_semigroup(iid_spec([nil]), 2))
+    assert not sl.check_allowability(iid_spec([nil]))
 
 
 def test_positivity(ex1):
-    assert sl.check_positivity(sl.enumerate_semigroup(ex1, 1))
-    assert not sl.check_positivity(sl.enumerate_semigroup(iid_spec([np.eye(2)]), 5))
+    assert sl.check_positivity(ex1)
+    assert not sl.check_positivity(iid_spec([np.eye(2)]))
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
     ones = np.ones((2, 2))
-    assert sl.check_positivity(sl.enumerate_semigroup(iid_spec([flip, ones]), 1))
+    assert sl.check_positivity(iid_spec([flip, ones]))
+
+
+def test_positivity_is_not_primitivity_of_the_sum():
+    # a 3-cycle and a transposition: their sum is primitive, but every
+    # product is a permutation matrix, so none is positive
+    cycle = np.eye(3)[[1, 2, 0]]
+    swap = np.eye(3)[[1, 0, 2]]
+    assert sl.is_primitive(cycle + swap)
+    assert not sl.check_positivity(iid_spec([cycle, swap]))
+
+
+def test_positivity_charges_each_pattern(monkeypatch):
+    # a 4-cycle and a transposition generate the 24 permutation patterns
+    gens = [np.eye(4)[[1, 2, 3, 0]], np.eye(4)[[1, 0, 2, 3]]]
+    monkeypatch.setenv("SMOOTHING_LAB_BUDGET", "24")
+    assert not sl.check_positivity(iid_spec(gens))
+    monkeypatch.setenv("SMOOTHING_LAB_BUDGET", "23")
+    with pytest.raises(BudgetExceeded):
+        sl.check_positivity(iid_spec(gens))
 
 
 # ---------------------------------------------------------------------------
