@@ -5,13 +5,16 @@ every new sample is sum_i a_i z_i with a fresh branch draw and z_i resampled
 with replacement from the previous pool.  The tree sampler grows the
 weighted branching tree explicitly and is unbiased at finite depth for
 models whose mean matrix has unit spectral radius.  Both draw from the
-model's branch table and fold each parent's edges by its `row` gather into
-buffers that the caller keeps.  The pool round folds a block of parents at
-a time, and a forest is kept as narrow atom ids and tree offsets per level,
-drawn a block at a time with one kept float scratch; the martingale folds
-it leaves-up a block of whole trees at a time in that same scratch, and
-survival_counts walks it depth first.  So the working sets are bounded by
-BLOCK_BYTES, not by k E[N] or by the widest level.
+model's branch table and sum each parent's children by one slot fold: slot
+s gathers the s-th child and branch matrix of every parent that has one,
+and takes its rows through the table's `row` gather, into buffers that the
+caller keeps.  The pool round folds a block of parents at a time, and a
+forest is kept as narrow atom ids and tree offsets per level, drawn a block
+at a time with one kept float scratch; the martingale folds it leaves-up in
+that same scratch, its deep levels a block of whole trees at a time and the
+narrow levels above them once per forest, and survival_counts walks it
+depth first.  So the working sets are bounded by BLOCK_BYTES, not by k E[N]
+or by the widest level.
 """
 from __future__ import annotations
 
@@ -106,12 +109,12 @@ def iterate_pool(spec: ModelSpec, pool: SamplePool, seed, out=None,
     """One smoothing round over the pool; deterministic given the seed.
 
     All k atoms are drawn first.  Then, one block of parents at a time, the
-    block's picks (its resampled children) are drawn, gathered and folded
-    into the block's columns of the new pool, so the round holds one
-    block's children, about BLOCK_BYTES, and not all k E[N] of them.  The
-    picks are one Philox stream drawn in block order, so the pool does not
-    depend on the block size.  The new samples are out.T for a (dim, k)
-    `out`, and `scratch` (from `_pool_scratch`) holds the block's
+    block's picks (its resampled children, one per edge) are drawn and the
+    block is folded slot by slot into its columns of the new pool, so the
+    round holds one block's picks and temporaries, not all k E[N] children.
+    The picks are one Philox stream drawn in block order, so the pool does
+    not depend on the block size.  The new samples are out.T for a (dim, k)
+    `out`, and `scratch` (from `_pool_scratch`) holds the fold's
     temporaries; run_fixed_point passes both and reuses them every round.
     Neither may share memory with the pool (ValueError), and OutOfRange
     when a new sample is not finite.
@@ -126,12 +129,12 @@ def iterate_pool(spec: ModelSpec, pool: SamplePool, seed, out=None,
     d, k = spec.dim, pool.size
     if out is None:
         out = np.empty((d, k))
-    floats, edge_ids = _pool_scratch(table, d, k) if scratch is None else scratch
-    if any(np.may_share_memory(a, pool.samples) for a in (out, floats, edge_ids)):
+    if scratch is None:
+        scratch = _pool_scratch(table, d, k)
+    if any(np.may_share_memory(a, pool.samples) for a in (out, scratch)):
         raise ValueError("out and scratch must not share memory with the pool")
-    cap = edge_ids.size                        # edges a block may hold
-    per = cap // table.sizes.max()             # parents per block
-    # np.take would copy a strided (C-order) pool again in every block
+    per = scratch.size // _fold_width(table, d)      # parents per block
+    # np.take would copy a strided (C-order) pool again in every slot
     samples = np.ascontiguousarray(pool.samples.T)
     atom = np.empty(k, dtype=np.min_scalar_type(table.sizes.size - 1))
     for p0 in range(0, k, per):
@@ -139,25 +142,100 @@ def iterate_pool(spec: ModelSpec, pool: SamplePool, seed, out=None,
         block[:] = table.draw(rng, block.size)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for p0 in range(0, k, per):
-            ids, starts = _edges(table, atom[p0:p0 + per], edge_ids)
-            picks = rng.integers(0, k, size=ids.size)
-            child = floats[:d * ids.size].reshape(d, ids.size)
-            np.take(samples, picks, axis=1, out=child, mode="clip")
-            _fold(table, ids, starts, child, out[:, p0:p0 + per],
-                  floats[d * cap:])
+            block = atom[p0:p0 + per]
+            picks = rng.integers(0, k, size=table.sizes.take(block).sum())
+            _slot_fold(table, block, samples, out[:, p0:p0 + per], scratch,
+                       picks)
     if not np.isfinite(out).all():
         raise OutOfRange(f"a sample overflows in round {pool.generation + 1}")
     return SamplePool(dim=d, samples=out.T, generation=pool.generation + 1)
 
 
-def _pool_scratch(table: BranchTable, d: int, k: int) -> tuple:
-    """Scratch of a k-sample pool round: floats for the child gather (d
-    rows) and the two fold rows, and the edge ids, of a block of parents
-    whose child gather holds at most BLOCK_BYTES even if each parent
-    draws the largest branch; at least one parent and at most k."""
+def _pool_scratch(table: BranchTable, d: int, k: int) -> np.ndarray:
+    """Fold scratch of a k-sample pool round: `_fold_width` floats for each
+    parent of a block whose picks, gathered, would hold at most BLOCK_BYTES
+    even if each parent drew the largest branch; at least one parent and
+    at most k."""
     most = int(table.sizes.max())
     per = min(k, max(1, _common.BLOCK_BYTES // (8 * d * most)))
-    return np.empty((d + 2) * per * most), np.empty(per * most, dtype=np.int64)
+    return np.empty(per * _fold_width(table, d))
+
+
+def _fold_width(table: BranchTable, d: int) -> int:
+    """Scratch floats per parent of `_slot_fold`: three id columns, the
+    slot's child gather (d), two row terms, d rows of tail sums when a
+    branch has more than two matrices, and d rows of sums in branch-size
+    order when branch sizes differ."""
+    lo, hi = table.sizes.min(), table.sizes.max()
+    return 5 + d + d * int(hi > 2) + d * int(lo < hi)
+
+
+def _slot_fold(table: BranchTable, atom: np.ndarray, src: np.ndarray,
+               out: np.ndarray, scratch: np.ndarray, index=None) -> None:
+    """Into out[:, p], per parent p, the sum over the slots s of its branch
+    of mats[offsets[atom[p]] + s] @ src[:, c], where c is e = start_p + s,
+    its edge, or index[e] when `index` is given, and start_p counts the
+    edges of the parents before p.
+
+    Slot by slot: slot s reads its parents' child columns (a stride when
+    every branch has the same size, else a gather into the scratch) and
+    takes each row of their s-th matrices through BranchTable.row, so no
+    per-edge array is built.  A parent's terms are summed t0 + (t1 + ... +
+    t_{n-1}), which is np.add.reduceat's order for a branch of at most 8
+    matrices.  When branch sizes differ, the parents are taken in
+    decreasing branch size, so each slot's parents are a prefix and its
+    work is its edges.  Every temporary of parent size but that order and
+    the `index` gather is carved from `scratch`, `_fold_width` floats per
+    parent.
+    """
+    d, n = out.shape
+    lo, hi = int(table.sizes.min()), int(table.sizes.max())
+    start, first, ids = scratch[:3 * n].view(np.int64).reshape(3, n)
+    child = scratch[3 * n:(3 + d) * n]
+    terms = scratch[(3 + d) * n:(5 + d) * n].reshape(2, n)
+    rows = scratch[(5 + d) * n:_fold_width(table, d) * n].reshape(-1, n)
+    table.offsets.take(atom, out=first, mode="clip")
+    acc, order = out, None
+    if lo < hi:
+        table.sizes.take(atom, out=ids, mode="clip")
+        np.cumsum(ids, out=start)
+        start -= ids
+        order = np.argsort((hi - ids).astype(np.min_scalar_type(hi)),
+                           kind="stable")
+        # slot s takes the parents with more than s matrices
+        takers = n - np.bincount(ids, minlength=hi).cumsum()
+        np.take(start, order, out=ids)
+        start, ids = ids, start
+        np.take(first, order, out=ids)
+        first, ids = ids, first
+        acc = rows[-d:]
+    tail = rows[:d]                     # t1 + ... + t_{n-1}, when n > 2
+    for s in range(hi):
+        if order is None:               # edge s of parent p is hi p + s
+            m, edges = n, slice(s, None, hi)
+        else:
+            m = int(takers[s])
+            edges = np.add(start[:m], s, out=ids[:m])
+        if index is None and order is None:
+            x = src[:, edges]
+        else:
+            x = np.take(src, edges if index is None else index[edges], axis=1,
+                        out=child[:d * m].reshape(d, m), mode="clip")
+        at = np.add(first[:m], s, out=ids[:m])
+        term, spare = terms[:, :m]
+        for i in range(d):
+            if s == 0:
+                table.row(i, at, x, acc[i], term)
+            elif s == 1 and hi > 2:
+                table.row(i, at, x, tail[i, :m], term)
+            else:
+                t = table.row(i, at, x, term, spare)
+                (acc if hi == 2 else tail)[i, :m] += t
+    if hi > 2:
+        m = n if order is None else int(takers[1])
+        acc[:, :m] += tail[:, :m]
+    if order is not None:
+        out[:, order] = acc
 
 
 def run_fixed_point(spec: ModelSpec, k: int, rounds: int, init=None, seed=0,
@@ -228,9 +306,10 @@ def _grow_forest(table: BranchTable, depth: int, n_trees: int, rng,
     Children follow their parents' order and then the branch order, so tree
     t's nodes at level l are levels[l][offsets[l][t]:offsets[l][t + 1]].  A
     level is drawn, and its child counts summed, BLOCK_BYTES // 8 nodes at
-    a time, its uniforms and running ends into `scratch`, grown to twice
-    min(BLOCK_BYTES // 8, level width) entries and returned for the caller
-    to reuse; the leaf level is counted against the budget but never built.
+    a time, its uniforms (then its widened ids) and child counts into
+    `scratch`, grown to twice min(BLOCK_BYTES // 8, level width) entries
+    and returned for the caller to reuse; the leaf level is counted against
+    the budget but never built.
     """
     step = _common.BLOCK_BYTES // 8
     off = np.arange(n_trees + 1)
@@ -241,19 +320,23 @@ def _grow_forest(table: BranchTable, depth: int, n_trees: int, rng,
         n = min(step, atom.size)
         if scratch is None or scratch.size < 2 * n:
             scratch = np.empty(2 * n)
-        u, run = scratch[:n], scratch[n:2 * n].view(np.int64)
+        u, count = scratch[:n], scratch[n:2 * n].view(np.int64)
         below = np.empty_like(off)      # children before each tree's first node
         t = total = 0
         for start in range(0, atom.size, step):
             block = atom[start:start + step]
             table.draw(rng, block.size, out=block, u=u)
-            ends = table.sizes.take(block, out=run[:block.size], mode="clip")
-            np.cumsum(ends, out=ends)
-            ends += total
+            wide = u[:block.size].view(np.int64)  # the uniforms are spent
+            wide[...] = block
+            counts = table.sizes.take(wide, out=count[:block.size],
+                                      mode="clip")
             stop = np.searchsorted(off, start + block.size)
-            first = off[t:stop] - start
-            below[t:stop] = ends[first] - table.sizes[block[first]]
-            t, total = stop, ends[-1]
+            if t < stop:                # trees whose first node is here
+                first = off[t:stop] - start
+                heads = np.add.reduceat(counts, first)
+                below[t:stop] = (total + counts[:first[0]].sum()
+                                 + np.cumsum(heads) - heads)
+            t, total = stop, total + counts.sum()
         below[t:] = total
         nodes_per_tree += np.diff(below)
         if nodes_per_tree.max(initial=0) > node_budget:
@@ -266,42 +349,6 @@ def _grow_forest(table: BranchTable, depth: int, n_trees: int, rng,
     return levels, offsets, scratch
 
 
-def _edges(table: BranchTable, atom: np.ndarray, out=None):
-    """Matrix id of every child edge of a level, and each parent's first edge.
-
-    Each edge's id is one more than the one before it, except at a parent's
-    first edge, which starts that atom's branch; the ids are the running sum
-    of those steps, written into the head of `out` when it is given.
-    """
-    counts = table.sizes[atom]
-    starts = np.cumsum(counts) - counts
-    n = starts[-1] + counts[-1]
-    ids = np.empty(n, dtype=np.int64) if out is None else out[:n]
-    ids.fill(1)
-    first = table.offsets[atom]
-    ids[0] = first[0]
-    ids[starts[1:]] = first[1:] - first[:-1] - counts[:-1] + 1
-    np.cumsum(ids, out=ids)
-    return ids, starts
-
-
-def _fold(table: BranchTable, ids: np.ndarray, starts: np.ndarray,
-          child: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Into out[:, p], per parent p, the sum over its edges e of
-    mats[ids[e]] @ child[:, e].
-
-    child holds one column per edge and out one column per parent.  Each row
-    is summed by BranchTable.row in the first 2 * ids.size entries of scratch,
-    so a fold allocates nothing of edge size; its callers keep out and scratch
-    across folds, so their pages are not faulted in again.
-    """
-    n = ids.size
-    acc, term = scratch[:n], scratch[n:2 * n]
-    for i in range(child.shape[0]):
-        table.row(i, ids, child, acc, term)
-        np.add.reduceat(acc, starts, out=out[i])
-
-
 def martingale_samples(spec: ModelSpec, depth: int, trials: int,
                        seed) -> np.ndarray:
     """trials independent draws of sum over depth-n nodes of G_u v.
@@ -311,12 +358,10 @@ def martingale_samples(spec: ModelSpec, depth: int, trials: int,
     single-matrix mean has unit spectral radius.
 
     The leaf level is never built: a depth-(n-1) node that draws atom b
-    contributes Y_b v, with Y_b its branch sum.  Each level above is folded
-    into its parents by the same edge fold as the pool round, a block of
-    whole trees at a time, so each parent sums its edges as a whole fold.
-    Each forest is drawn in one float scratch kept by the call, and the fold
-    cuts its blocks to fit it, growing it only for a tree whose deepest
-    level needs more, so draw and fold buffers are never live together.
+    contributes Y_b v, with Y_b its branch sum, which the deepest fold
+    gathers through the node's atom id.  Each forest is drawn in one float
+    scratch kept by the call and folded leaves-up in it by
+    `_fold_forest`, so draw and fold buffers are never live together.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -333,9 +378,7 @@ def martingale_samples(spec: ModelSpec, depth: int, trials: int,
         return np.tile(v, (trials, 1))
     table = spec.branch_table
     leaf_sums = (table.sums @ v).T.copy()         # column b is Y_b v
-    d = spec.dim
-    width = 2 * d + 3   # per deepest node: two d-vectors, two rows, an id
-    out = np.empty((trials, d))
+    out = np.empty((trials, spec.dim))
     scratch = None
     n_chunks = (trials + _TREE_CHUNK - 1) // _TREE_CHUNK
     streams = spawn_generators(seed, n_chunks)
@@ -344,30 +387,65 @@ def martingale_samples(spec: ModelSpec, depth: int, trials: int,
         chunk = min(_TREE_CHUNK, trials - done)
         levels, offsets, scratch = _grow_forest(table, depth, chunk, rng,
                                                 budget, scratch)
-        ends, t0 = offsets[-1], 0
-        while t0 < chunk:  # whole trees that fit the scratch, or one
-            cap = scratch.size // width
-            t1 = max(t0 + 1, ends.searchsorted(ends[t0] + cap, "right") - 1)
-            n = ends[t1] - ends[t0]     # the deepest level is the widest
-            if cap < n:
-                cap, scratch = n, np.empty(width * n)
-            a, b = scratch[:d * cap], scratch[d * cap:2 * d * cap]
-            rows = scratch[2 * d * cap:(2 * d + 2) * cap]
-            edge_ids = scratch[(2 * d + 2) * cap:width * cap].view(np.int64)
-            vecs = a[:d * n].reshape(d, n)
-            np.take(leaf_sums, levels[-1][ends[t0]:ends[t1]], axis=1,
-                    out=vecs, mode="clip")
-            for atom, off in zip(levels[-2::-1], offsets[-2::-1]):
-                ids, starts = _edges(table, atom[off[t0]:off[t1]], edge_ids)
-                a, b = b, a
-                folded = a[:d * starts.size].reshape(d, starts.size)
-                _fold(table, ids, starts, vecs, folded, rows)
-                vecs = folded
-            out[done + t0:done + t1] = vecs.T
-            t0 = t1
+        if depth == 1:
+            out[done:done + chunk] = leaf_sums.take(levels[0], axis=1).T
+        else:
+            roots, scratch = _fold_forest(table, levels, offsets, leaf_sums,
+                                          scratch)
+            out[done:done + chunk] = roots.T
         done += chunk
         del levels, offsets     # before the next forest grows beside it
     return out
+
+
+def _fold_forest(table: BranchTable, levels: list, offsets: list,
+                 leaf_sums: np.ndarray, scratch: np.ndarray) -> tuple:
+    """((d, n_trees) root sums, scratch) of a forest of two or more levels
+    from `_grow_forest`, whose deepest nodes contribute leaf_sums[:, atom].
+
+    Every fold reads a level and writes its parents' level.  `top` is the
+    deepest parent level whose whole width W, at 2d + `_fold_width` floats
+    a parent, fits the scratch.  The levels below it are folded a block of
+    whole trees at a time into its columns, held in the scratch's first
+    d W floats, and the block's two level buffers and fold temporaries
+    share the rest, so each parent sums its edges as one fold.  The levels
+    above `top` are then folded once for the whole forest.  The scratch
+    grows only when one tree's deepest parent level does not fit beside
+    the top level, and is returned for the caller to reuse.
+    """
+    d = leaf_sums.shape[0]
+    per = 2 * d + _fold_width(table, d)
+    width = [off[-1] for off in offsets]
+    top = max((l for l in range(len(levels) - 1)
+               if per * width[l] <= scratch.size), default=0)
+    ends = offsets[-2]
+    need = d * width[top] + per * int(np.diff(ends).max())
+    if scratch.size < need:
+        scratch = np.empty(need)
+    head = scratch[:d * width[top]].reshape(d, -1)
+    back = scratch[d * width[top]:]
+    t0 = 0
+    while t0 < ends.size - 1:  # whole trees that fit the back, or one
+        t1 = max(t0 + 1, ends.searchsorted(ends[t0] + back.size // per,
+                                           "right") - 1)
+        n = ends[t1] - ends[t0]     # the deepest parent level is the widest
+        temps = back[2 * d * n:]
+        src, index = leaf_sums, levels[-1][offsets[-1][t0]:offsets[-1][t1]]
+        for l in range(len(levels) - 2, top - 1, -1):
+            lo, hi = offsets[l][t0], offsets[l][t1]
+            dst = (head[:, lo:hi] if l == top else
+                   back[l % 2 * d * n:][:d * (hi - lo)].reshape(d, -1))
+            _slot_fold(table, levels[l][lo:hi], src, dst, temps, index)
+            src, index = dst, None
+        t0 = t1
+    src = head
+    temps = back[d * width[top - 1]:] if top else back
+    for l in range(top - 1, -1, -1):  # the rest, the whole forest at once
+        region = back if (top - l) % 2 else scratch
+        dst = region[:d * width[l]].reshape(d, -1)
+        _slot_fold(table, levels[l], src, dst, temps)
+        src = dst
+    return src, scratch
 
 
 def survival_counts(spec: ModelSpec, probes, depth: int, seed) -> np.ndarray:
@@ -415,9 +493,17 @@ def survival_counts(spec: ModelSpec, probes, depth: int, seed) -> np.ndarray:
         below = ends[p0 - 1] if p0 else 0
         p1 = max(p0 + 1, ends.searchsorted(below + step, "right"))
         stack[-1][3] = p1
-        # G_(ui)^T = A_(ui)^T G_u^T
-        per_edge = np.repeat(carriers[p0:p1], table.sizes[atom[p0:p1]], axis=0)
-        push(mats_t[_edges(table, atom[p0:p1])[0]] @ per_edge)
+        # G_(ui)^T = A_(ui)^T G_u^T, for the s-th child of every parent
+        # with more than s of them at a time
+        sizes = table.sizes[atom[p0:p1]]
+        first = table.offsets[atom[p0:p1]]
+        start = ends[p0:p1] - sizes - below     # each parent's first child
+        children = np.empty((ends[p1 - 1] - below,) + carriers.shape[1:])
+        for s in range(sizes.max()):
+            took = sizes > s
+            children[start[took] + s] = (mats_t[first[took] + s]
+                                         @ carriers[p0:p1][took])
+        push(children)
     return counts
 
 

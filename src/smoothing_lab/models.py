@@ -37,6 +37,7 @@ _PROB_TOL = 1e-12
 _MATRIX_TOL = 1e-12
 _IID_TOL = 1e-9               # slack on the factorised branch probabilities
 _COUNTED_ATOMS = 8            # largest table drawn by counting CDF crossings
+_GUIDE_STEPS = 3              # full passes of the guide-table walk
 
 
 def _check_prob_list(ps, what: str) -> None:
@@ -68,9 +69,10 @@ class BranchTable:
     """The joint branch law compiled into arrays: atom b, with probability
     probs[b], is the branch mats[offsets[b]:offsets[b] + sizes[b]] summing to
     sums[b].  cols[i, j] = mats[:, i, j] is the entry stack that `row`, the
-    one gather behind a pool round, a tree level and a chain step, reads,
-    and cdf the normalised cumulative probabilities that `draw` inverts.
-    The arrays are read-only, since every reader shares them."""
+    one gather of branch-matrix rows, reads: the chain step calls it on its
+    own, and the slot fold of a pool round and a tree level once per slot
+    and row.  cdf holds the normalised cumulative probabilities that `draw`
+    inverts.  The arrays are read-only, since every reader shares them."""
 
     probs: np.ndarray    # (B,)
     mats: np.ndarray     # (M, d, d)
@@ -96,12 +98,26 @@ class BranchTable:
             a.flags.writeable = False
         return table
 
+    @functools.cached_property
+    def guide(self) -> np.ndarray:
+        """guide[j]: the number of cdf entries <= j / G, for G the power of
+        two from 4B.  Built by the first draw that reads it, so the word
+        tables of the chains, which are never drawn, have none."""
+        buckets = 1 << (4 * self.cdf.size - 1).bit_length()
+        guide = self.cdf.searchsorted(np.arange(buckets) / buckets,
+                                      side="right")
+        guide.flags.writeable = False
+        return guide
+
     def draw(self, rng, size, out=None, u=None):
         """Atom ids drawn i.i.d. from probs: the ids, and the uniforms
         consumed, of rng.choice(B, size, p=probs), bit for bit.
 
         A uniform u gives the number of cdf entries <= u.  Small tables count
-        the crossings of cdf[:-1] directly, which beats the binary search.
+        the crossings of cdf[:-1] directly.  Larger ones start at the guide
+        entry of u's bucket, floor(u G) (exact, G being a power of two), and
+        step up while cdf[id] <= u; ids still short after _GUIDE_STEPS full
+        passes, in a bucket crowded with atoms, take the binary search.
         Buffers not given are new; given, size is a count, the uniforms go
         to the head of `u` and the ids to `out`, of any integer dtype that
         holds them.
@@ -109,7 +125,16 @@ class BranchTable:
         u = rng.random(size) if u is None else rng.random(out=u[:size])
         ids = np.empty(np.shape(u), dtype=np.int64) if out is None else out
         if self.cdf.size > _COUNTED_ATOMS:
-            ids[...] = self.cdf.searchsorted(u, side="right")
+            at = self.guide.take((u * self.guide.size).astype(np.intp))
+            for _ in range(_GUIDE_STEPS):
+                step = self.cdf.take(at) <= u
+                if not step.any():
+                    break
+                at += step
+            else:
+                late = self.cdf.take(at) <= u
+                at[late] = self.cdf.searchsorted(u[late], side="right")
+            ids[...] = at
         else:
             ids[...] = 0
             for c in self.cdf[:-1]:
@@ -119,10 +144,11 @@ class BranchTable:
     def row(self, i: int, ids: np.ndarray, x: np.ndarray, out=None,
             term=None) -> np.ndarray:
         """Row i of mats[ids[e]] @ x[:, ..., e] along x's last axis e, summed
-        entry by entry into `out`, so no (E, d, d) array is built.  The first
-        entry is gathered into `out`, the others into `term` (mode="clip": the
-        ids are in range), and multiplied by x[j] there.  Buffers not given
-        are new; given ones hold one entry per id, so x is then (d, E)."""
+        entry by entry into `out`, so no (E, d, d) array is built: one chain
+        step, or one slot of a fold.  The first entry is gathered into
+        `out`, the others into `term` (mode="clip": the ids are in range),
+        and multiplied by x[j] there.  Buffers not given are new; given ones
+        hold one entry per id, so x is then (d, E)."""
         cols = self.cols[i]
         out = np.multiply(cols[0].take(ids, out=out, mode="clip"), x[0],
                           out=out)

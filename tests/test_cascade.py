@@ -85,6 +85,59 @@ def test_pool_blocks_match_default(name, request, monkeypatch):
         assert np.array_equal(again_history, history)
 
 
+def mixed_spec(d, seed, critical=False):
+    """A d-dim model of six atoms whose branches hold 1 to 8 random
+    matrices, the extremes among them; critical, its mean sum matrix
+    scaled to unit spectral radius, so that it has a tree martingale."""
+    rng = np.random.default_rng(seed)
+    sizes = np.r_[1, 8, rng.integers(1, 9, 4)]
+    branches = [rng.uniform(0.1, 1.0, (n, d, d)) for n in sizes]
+    probs = rng.dirichlet(np.ones(sizes.size))
+    if critical:
+        mean = sum(p * br.sum(axis=0) for p, br in zip(probs, branches))
+        scale = sl.spectral_radius(mean)
+        branches = [br / scale for br in branches]
+    return sl.ModelSpec(dim=d, atoms=tuple(
+        (p, tuple(br)) for p, br in zip(probs, branches)))
+
+
+# 8 * d * 8 * 7 bytes makes blocks of 7 parents for the mixed tables, whose
+# largest branch holds 8 matrices, 18 for ex2 and 28 for ex1 and ex3; none
+# divides the 1000 parents
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "mixed-1", "mixed-2",
+                                  "mixed-3", "mixed-4"])
+def test_pool_round_matches_edge_fold(name, request, monkeypatch):
+    # the slot fold sums each branch in reduceat's order, so a round is the
+    # edge fold's bit for bit, whatever the block
+    if name.startswith("mixed"):
+        spec = mixed_spec(int(name[-1]), seed=int(name[-1]))
+    else:
+        spec = request.getfixturevalue(name)
+    pool = sl.heavy_tail_pool(spec, 1000, 1.5, seed=1)
+    refs = [edge_pool_round(spec, pool, seed) for seed in range(3)]
+    for block in (_common.BLOCK_BYTES, 8 * spec.dim * 8 * 7):
+        monkeypatch.setattr(_common, "BLOCK_BYTES", block)
+        for seed, ref in enumerate(refs):
+            assert np.array_equal(
+                sl.iterate_pool(spec, pool, seed=seed).samples, ref)
+
+
+def test_long_branches_stay_within_the_summation_bound():
+    # past 8 matrices reduceat sums a branch's tail pairwise and the slot
+    # fold in order; both add the same nonnegative terms, n - 1 additions
+    # that each round by under one ulp of the total, so they differ by at
+    # most 2 (n - 1) ulp
+    rng = np.random.default_rng(5)
+    spec = sl.ModelSpec(dim=2, atoms=tuple(
+        (0.25, tuple(rng.uniform(0.1, 1.0, (n, 2, 2))))
+        for n in (9, 10, 12, 16)))
+    pool = sl.heavy_tail_pool(spec, 2000, 1.5, seed=1)
+    for seed in range(3):
+        new = sl.iterate_pool(spec, pool, seed=seed).samples
+        ref = edge_pool_round(spec, pool, seed)
+        assert np.all(np.abs(new - ref) <= 2 * (16 - 1) * np.spacing(ref))
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_run_fixed_point_leaves_initial_pool_alone(ex2, order):
     # the rounds write into buffers of their own, never into the caller's
@@ -121,10 +174,10 @@ def test_iterate_pool_refuses_buffers_on_the_pool(ex2, order):
                          order=order)
     pool = sl.SamplePool(dim=2, samples=samples)
     kept = samples.copy()
-    floats, edge_ids = cascade._pool_scratch(ex2.branch_table, 2, pool.size)
+    size = cascade._pool_scratch(ex2.branch_table, 2, pool.size).size
     flat = samples.ravel(order="K")     # a view in either order
-    for out, scratch in ((samples.T, None), (None, (flat, edge_ids)),
-                         (None, (floats, flat.view(np.int64)))):
+    for out, scratch in ((samples.T, None), (None, flat[:size]),
+                         (None, flat[-size:])):
         with pytest.raises(ValueError, match="share memory"):
             sl.iterate_pool(ex2, pool, seed=3, out=out, scratch=scratch)
     assert np.array_equal(samples, kept)
@@ -299,9 +352,37 @@ def test_survival_counts_match_reference_loop(name, depth, request):
             assert np.array_equal(row, (norms > thresholds).sum(axis=0))
 
 
+def edge_fold(table, atom, child):
+    """Per parent of the atom ids `atom`, the sum of mats[id] @ child[:, e]
+    over its edges e: the edge-major fold the samplers used before the
+    slot fold, kept as its reference.  Each edge's matrix id is one more
+    than the one before it, except at a parent's first edge, which starts
+    that atom's branch, so the ids are the running sum of those steps; each
+    row's edge products are summed per parent by np.add.reduceat."""
+    counts = table.sizes[atom]
+    starts = np.cumsum(counts) - counts
+    ids = np.ones(starts[-1] + counts[-1], dtype=np.int64)
+    first = table.offsets[atom]
+    ids[0] = first[0]
+    ids[starts[1:]] = first[1:] - first[:-1] - counts[:-1] + 1
+    np.cumsum(ids, out=ids)
+    return np.stack([np.add.reduceat(table.row(i, ids, child), starts)
+                     for i in range(child.shape[0])])
+
+
+def edge_pool_round(spec, pool, seed):
+    """iterate_pool's samples by the edge fold, from the same draws: every
+    atom, then every pick, in one block."""
+    rng = as_generator(seed)
+    table = spec.branch_table
+    atom = table.draw(rng, pool.size)
+    picks = rng.integers(0, pool.size, size=table.sizes[atom].sum())
+    return edge_fold(table, atom, pool.samples.T[:, picks]).T
+
+
 def whole_chunk_martingale(spec, depth, trials, seed):
-    """The martingale with each chunk's levels folded whole, leaves up: the
-    reference the blocked fold must match bit for bit."""
+    """The martingale with each chunk's levels folded whole, leaves up, by
+    the edge fold: the reference the slot fold must match bit for bit."""
     table = spec.branch_table
     leaf_sums = (table.sums @ sl.pf_decompose(sl.mean_sum_matrix(spec))).T
     size = cascade._TREE_CHUNK
@@ -311,22 +392,21 @@ def whole_chunk_martingale(spec, depth, trials, seed):
         levels = cascade._grow_forest(table, depth, chunk, rng, 10**7)[0]
         vecs = leaf_sums[:, levels.pop()]
         while levels:
-            ids, starts = cascade._edges(table, levels.pop())
-            folded = np.empty((spec.dim, starts.size))
-            cascade._fold(table, ids, starts, vecs, folded,
-                          np.empty(2 * ids.size))
-            vecs = folded
+            vecs = edge_fold(table, levels.pop(), vecs)
         out.append(vecs.T)
     return np.concatenate(out)
 
 
 # BLOCK_BYTES // 8 nodes per draw block, drawn in a scratch of
-# BLOCK_BYTES // 4 floats, and at most BLOCK_BYTES // 28 deepest nodes per
-# fold block (d = 2) unless one tree needs more: 8 is one node per draw and
-# one tree per fold; an ex1 tree has 2048 nodes at depth 11, so 16 * 1500
-# and 16 * 3 * 2048 fold one tree at a time with draws that straddle trees,
-# 28 * 3 * 2048 ends each fold block on a tree boundary and 16 * 50_000
-# folds 13 trees at a time
+# BLOCK_BYTES // 4 floats.  The fold takes 11 floats per deepest parent
+# (ex1; 13 for ex2 and ex3), folds the levels below `top`, the deepest
+# parent level whose whole width fits the scratch, a block of whole trees
+# at a time beside it, and the levels above it once per chunk.  An ex1 tree
+# has 1024 deepest parents at depth 12: 16 * 1500 grows the scratch to one
+# tree per block under top 0, 16 * 3 * 2048 folds one tree per block under
+# top 2, 28 * 3 * 2048 two or three, 16 * 50_000 8 to 14 under top 5, and
+# the default 10 under top 4.  ex2 and ex3 at 8 and 8 * 7 grow it for one
+# to three trees per block
 @pytest.mark.parametrize("name, depth, trials, blocks", [
     ("ex1", 12, 600, (16 * 1500, 16 * 3 * 2048, 28 * 3 * 2048, 16 * 50_000)),
     ("ex2", 6, 40, (8, 8 * 7)),
@@ -342,6 +422,18 @@ def test_martingale_blocks_match_whole_chunk_fold(name, depth, trials, blocks,
         monkeypatch.setattr(_common, "BLOCK_BYTES", block)
         assert np.array_equal(
             sl.martingale_samples(spec, depth, trials, seed=depth), W)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_martingale_of_mixed_branches_matches_edge_fold(d, monkeypatch):
+    # 600 trials of depth 4 cross the 512-tree chunk: the default folds two
+    # to four blocks into level 1 and level 1 once per chunk; 8 * 64 grows
+    # the scratch to about one tree per block, folded to the roots
+    spec = mixed_spec(d, seed=10 + d, critical=True)
+    W = sl.martingale_samples(spec, 4, 600, seed=d)
+    assert np.array_equal(W, whole_chunk_martingale(spec, 4, 600, d))
+    monkeypatch.setattr(_common, "BLOCK_BYTES", 8 * 64)
+    assert np.array_equal(sl.martingale_samples(spec, 4, 600, seed=d), W)
 
 
 @pytest.mark.parametrize("name, depth, blocks", [

@@ -117,12 +117,31 @@ def test_branch_frequencies_match_probabilities(ex3):
     assert is_a1[ids[single]].mean() == pytest.approx(0.5, abs=3e-2)
 
 
-@pytest.mark.parametrize("atoms", [1, 2, 3, 8, 9, 117])
+class FixedUniforms:
+    """A generator stand-in whose uniforms are given."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size=None, out=None):
+        if out is None:
+            return self.u.copy()
+        out[...] = self.u
+        return out
+
+
+@pytest.mark.parametrize("atoms", [1, 2, 3, 8, 9, 117, "crowded"])
 def test_branch_table_draw_matches_choice(atoms):
-    # counted crossings up to 8 atoms, binary search above: both are
-    # rng.choice's ids and consume its uniforms
-    probs = np.random.default_rng(atoms).uniform(0.1, 1.0, atoms)
-    probs /= probs.sum()
+    # counted crossings up to 8 atoms, the guide table above: both are
+    # rng.choice's ids and consume its uniforms.  "crowded" puts 999 atoms
+    # of mass 1e-6 ahead of one of mass about 1, so its first buckets hold
+    # hundreds of atoms and those ids fall back to the binary search
+    if atoms == "crowded":
+        probs = np.r_[np.full(999, 1e-6), 1 - 999e-6]
+        atoms = probs.size
+    else:
+        probs = np.random.default_rng(atoms).uniform(0.1, 1.0, atoms)
+        probs /= probs.sum()
     table = BranchTable.compile([(p, [A1]) for p in probs])
     for seed in range(20):
         for size in (1, 7, (3, 5)):
@@ -136,11 +155,20 @@ def test_branch_table_draw_matches_choice(atoms):
         # the buffer form: narrow ids written into `out`, and the uniforms
         # into the head of a longer `u`
         rng, ref = as_generator(seed), as_generator(seed)
-        out, u = np.full(7, 255, dtype=np.uint8), np.full(10, np.nan)
+        out = np.full(7, 255, dtype=np.min_scalar_type(atoms))
+        u = np.full(10, np.nan)
         assert table.draw(rng, 7, out=out, u=u) is out
         assert np.array_equal(out, ref.choice(atoms, 7, p=table.probs))
         assert np.isnan(u[7:]).all()
         assert rng.random() == ref.random()
+    # uniforms on every bucket edge j / G, on every cdf entry, and just
+    # below each, all mapped to the number of cdf entries <= u
+    edges = np.arange(table.guide.size) / table.guide.size
+    u = np.concatenate([edges, table.cdf[:-1], np.nextafter(table.cdf[:-1], 0),
+                        [np.nextafter(1.0, 0.0)]])
+    ids = table.draw(FixedUniforms(u), u.size)
+    assert np.array_equal(ids, table.cdf.searchsorted(u, side="right"))
+    assert np.array_equal(ids, (table.cdf[None, :] <= u[:, None]).sum(axis=1))
 
 
 def test_branch_table_draw_on_a_cdf_entry():
