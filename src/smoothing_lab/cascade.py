@@ -156,8 +156,7 @@ def _pool_scratch(table: BranchTable, d: int, k: int) -> np.ndarray:
     parent of a block whose picks, gathered, would hold at most BLOCK_BYTES
     even if each parent drew the largest branch; at least one parent and
     at most k."""
-    most = int(table.sizes.max())
-    per = min(k, max(1, _common.BLOCK_BYTES // (8 * d * most)))
+    per = min(k, max(1, _common.BLOCK_BYTES // (8 * d * table.size_range[1])))
     return np.empty(per * _fold_width(table, d))
 
 
@@ -166,7 +165,7 @@ def _fold_width(table: BranchTable, d: int) -> int:
     slot's child gather (d), two row terms, d rows of tail sums when a
     branch has more than two matrices, and d rows of sums in branch-size
     order when branch sizes differ."""
-    lo, hi = table.sizes.min(), table.sizes.max()
+    lo, hi = table.size_range
     return 5 + d + d * int(hi > 2) + d * int(lo < hi)
 
 
@@ -189,7 +188,7 @@ def _slot_fold(table: BranchTable, atom: np.ndarray, src: np.ndarray,
     parent.
     """
     d, n = out.shape
-    lo, hi = int(table.sizes.min()), int(table.sizes.max())
+    lo, hi = table.size_range
     start, first, ids = scratch[:3 * n].view(np.int64).reshape(3, n)
     child = scratch[3 * n:(3 + d) * n]
     terms = scratch[(3 + d) * n:(5 + d) * n].reshape(2, n)

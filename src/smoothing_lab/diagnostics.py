@@ -1,10 +1,10 @@
 """Empirical transforms of the fixed point and the survival-count statistics
 that drive characteristic-function decay.
 
-All estimators are pure folds over a sample pool, reduced with numpy's
-pairwise summation; the transform curve squares its way up the dyadic radii
-and takes the pool in fixed-size row blocks, adding the samples in pool
-order, so its memory does not grow with the pool.
+All estimators are folds over a sample pool in a fixed order of numpy
+operations, so no BLAS or LAPACK kernel decides how they round: products
+add their terms in index order (`_contract`), both tail fits share one
+closed-form slope (`_slope`) and the transform curve adds in pool order.
 """
 from __future__ import annotations
 
@@ -28,6 +28,34 @@ _SMALL_BALL_BOOTSTRAPS = 60
 # squarings of exp(i x) is 9.1e-6 at k = 36, 1.4e-4 at 40, 3.8e-2 at 48
 # and 1.3e4 at 56, where the curve would read moduli far above 1
 _MAX_EXP = 36
+
+
+def _contract(a, b) -> np.ndarray:
+    """The matrix product of a and b over their last two axes, the leading
+    axes broadcast, with each entry's terms added in index order:
+    a[..., :, 0] b[..., 0, :] + a[..., :, 1] b[..., 1, :] + ..."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
+    return out
+
+
+def _slope(x, y) -> np.ndarray:
+    """Least-squares slopes of the columns of y (n, m) on x (n,), in closed
+    form: sum (x - xbar)(y - ybar) / sum (x - xbar)^2, each column's sums
+    taken over its rows in index order."""
+    dx = (x - x.mean())[None]
+    dy = y - _contract(np.ones_like(dx), y) / x.size
+    return (_contract(dx, dy) / _contract(dx, dx.T))[0]
+
+
+def _interval(boots, estimate: float) -> tuple:
+    """The 2.5 and 97.5 % quantiles of the bootstrap slopes, widened to hold
+    the estimate; (estimate, estimate) when there are none."""
+    if not boots.size:
+        return estimate, estimate
+    lo, hi = np.quantile(boots, [0.025, 0.975])
+    return float(min(lo, estimate)), float(max(hi, estimate))
 
 
 def sphere_grid(dim: int, n: int) -> np.ndarray:
@@ -60,13 +88,11 @@ def transform_curve(pool, max_exp: int = 14,
     """Sup-modulus curve on the radii 2^0 .. 2^max_exp: exp(i 2r phi) is
     exp(i r phi) squared, so one exp at radius 1, then a squaring per radius.
 
-    The pool is taken in row blocks of about BLOCK_BYTES of complex
-    phases, so memory does not grow with the pool size.  Each radius keeps
-    its running sum in row 0 of the block buffer, so the column sums still
-    add the samples one at a time in pool order, and the curve is the same,
-    bit for bit, as the mean over one (K, P) array.  ValueError unless
-    0 <= max_exp <= 36, the radius at which the squarings still hold the
-    modulus to 1e-5.
+    The pool is taken in row blocks of about BLOCK_BYTES of complex phases.
+    Each radius keeps its running sum in row 0 of the block buffer, so the
+    samples are added one at a time in pool order, and the curve is the
+    mean over one (K, P) array bit for bit.  ValueError unless 0 <= max_exp
+    <= 36, where the squarings still hold the modulus to 1e-5.
     """
     if not 0 <= max_exp <= _MAX_EXP:
         raise ValueError(f"max_exp must lie in [0, {_MAX_EXP}], got {max_exp}")
@@ -79,11 +105,8 @@ def transform_curve(pool, max_exp: int = 14,
     sums = np.zeros((max_exp + 1, width), dtype=complex)
     for start in range(0, pool.size, rows):
         n = min(rows, pool.size - start)
-        # a lone row would go through gemv, which rounds differently from
-        # the gemm of longer blocks, so it borrows the row before it
-        lo = start - 1 if n == 1 and start > 0 else start
-        e = buf[1:n + 1]
-        np.multiply(1j, (pool.samples[lo:start + n] @ probes.T)[-n:], out=e)
+        e = np.multiply(1j, _contract(pool.samples[start:start + n], probes.T),
+                        out=buf[1:n + 1])
         np.exp(e, out=e)                           # radius 1
         for i in range(max_exp + 1):
             buf[0] = sums[i]
@@ -102,7 +125,8 @@ def decay_fit(curve: TransformCurve, seed=0):
 
     Fits -slope of log modulus against log radius on the largest contiguous
     run of radii whose modulus stays below 0.9; the confidence interval is a
-    residual bootstrap.  InsufficientDecay when fewer than 5 radii qualify.
+    residual bootstrap, a resample's slope being the fit's plus that of its
+    residuals.  InsufficientDecay when fewer than 5 radii qualify.
     """
     ok = curve.modulus < _DECAY_MAX_MODULUS
     tail = ok.size if ok.all() else int(np.argmin(ok[::-1]))  # contiguous run
@@ -110,20 +134,13 @@ def decay_fit(curve: TransformCurve, seed=0):
         raise InsufficientDecay(f"only {tail} radii below {_DECAY_MAX_MODULUS}")
     x = np.log(curve.radii[ok.size - tail:])
     y = np.log(curve.modulus[ok.size - tail:])
-    design = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    a_hat = -coef[0]
-    # every resample in one draw (the stream of one draw per resample) and
-    # one lstsq with a column per resample
-    rng = as_generator(seed)
-    draws = rng.choice(resid, size=(_DECAY_BOOTSTRAPS, resid.size))
-    cb, *_ = np.linalg.lstsq(design, (design @ coef)[:, None] + draws.T,
-                             rcond=None)
-    boots = -cb[0]
-    lo, hi = np.quantile(boots, [0.025, 0.975])
-    ci = (float(min(lo, a_hat)), float(max(hi, a_hat)))
-    return float(a_hat), ci
+    slope = _slope(x, y[:, None])[0]
+    resid = y - slope * x
+    resid -= resid.mean()
+    # every resample in one draw (the stream of one draw per resample)
+    draws = as_generator(seed).choice(resid, size=(_DECAY_BOOTSTRAPS, tail))
+    a_hat = float(-slope)
+    return a_hat, _interval(-(slope + _slope(x, draws.T)), a_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +150,7 @@ def decay_fit(curve: TransformCurve, seed=0):
 
 @dataclass
 class KillCountStats:
-    """Exact laws of the per-branch survival counts over probe and threshold
-    grids.
+    """Exact laws of the per-branch survival counts per probe and threshold.
 
     counts[i][j] maps a count value to its probability for probe i and
     threshold j; means is the matching expectation table.
@@ -151,11 +167,11 @@ def kill_counts(spec: ModelSpec, t_grid, delta_grid) -> KillCountStats:
     """Exact finite-atom laws of the survival counts.
 
     The count of a branch at probe t and threshold delta is
-    #{i : |A_i^T t| > delta |t|}.  At delta = 0 the comparison uses a
-    relative dust threshold, the tree counter's ZERO_TOL, so that probe
-    directions carrying one-ulp rounding noise still register exact kernel
-    hits.  Probes may carry negative entries; the counts are invariant under
-    positive scaling of each probe.
+    #{i : |A_i^T t| > (delta + ZERO_TOL) |t|}: the tree counter's relative
+    dust threshold makes a matrix at |A_i^T t| = delta |t| exactly, a kernel
+    hit at delta = 0 included, count as dead however t's one-ulp noise
+    rounds.  Probes may carry negative entries; the counts are invariant
+    under positive scaling of each probe.
     """
     t_grid = np.atleast_2d(np.asarray(t_grid, dtype=float))
     delta_grid = np.asarray(delta_grid, dtype=float)
@@ -167,9 +183,9 @@ def kill_counts(spec: ModelSpec, t_grid, delta_grid) -> KillCountStats:
         raise ValueError("probes must be finite and nonzero")
 
     table = spec.branch_table
-    vals = np.abs(np.matmul(t_grid[None], table.mats)).sum(axis=2)  # (M, P)
-    thresholds = (np.maximum(delta_grid, ZERO_TOL)[None, :]
-                  * np.abs(t_grid).sum(axis=1)[:, None])            # (P, D)
+    vals = np.abs(_contract(t_grid[None], table.mats)).sum(axis=2)  # (M, P)
+    thresholds = ((delta_grid + ZERO_TOL)[None, :]
+                  * np.abs(t_grid).sum(axis=1)[:, None])          # (P, D)
     alive = (vals[:, :, None] > thresholds[None]).astype(np.int64)
     per_atom = np.add.reduceat(alive, table.offsets, axis=0)        # (B, P, D)
     weights = table.probs.tolist()
@@ -217,11 +233,7 @@ def harmonic_moment(pool, b: float, seed=0):
         _, (lo, hi) = small_ball_exponent(pool, seed=seed)
     except EmptyTail:
         return value, None
-    if b < lo:
-        return value, True
-    if b > hi:
-        return value, False
-    return value, None
+    return value, True if b < lo else False if b > hi else None
 
 
 def _resampled_counts(counts, k: int, rng, size: int) -> np.ndarray:
@@ -244,17 +256,15 @@ def small_ball_exponent(pool, eps_grid=None, seed=0):
     the pool's counts at the radii take fewer than two distinct values (a
     point mass collapses the grid).  The confidence interval is a
     bootstrap over pool resamples, each drawn as its counts by
-    `_resampled_counts`.
+    `_resampled_counts`; those that leave a radius empty are dropped.
     """
     norms = np.sort(pool.norms())
     if eps_grid is None:
         pos = norms[norms > 0]
         if pos.size < 100:
             raise EmptyTail(f"{pos.size} positive norms; the fit needs 100")
-        eps_grid = np.geomspace(np.quantile(pos, 2e-4 if pos.size >= 10_000
-                                            else 1e-2),
-                                np.quantile(pos, 2e-2 if pos.size >= 10_000
-                                            else 2e-1), 8)
+        q = (2e-4, 2e-2) if pos.size >= 10_000 else (1e-2, 2e-1)
+        eps_grid = np.geomspace(*(np.quantile(pos, p) for p in q), 8)
     eps_grid = np.sort(np.asarray(eps_grid, dtype=float))
     if not eps_grid.size or not np.all((eps_grid > 0) & np.isfinite(eps_grid)):
         raise ValueError("eps grid must be nonempty, positive and finite")
@@ -264,20 +274,8 @@ def small_ball_exponent(pool, eps_grid=None, seed=0):
     if np.unique(counts[keep]).size < 2:
         raise EmptyTail("the pool tells fewer than two grid radii apart")
     x = np.log(eps_grid[keep])
-    design = np.vstack([x, np.ones_like(x)]).T
-
-    def fit(csel) -> float:
-        y = np.log(csel / k)
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        return float(coef[0])
-
-    slope = fit(counts[keep].astype(float))
-    rng = as_generator(seed)
-    boots = [fit(cb.astype(float)) for cb in _resampled_counts(
-        counts[keep], k, rng, _SMALL_BALL_BOOTSTRAPS) if cb.all()]
-    if boots:
-        lo, hi = np.quantile(boots, [0.025, 0.975])
-        ci = (float(min(lo, slope)), float(max(hi, slope)))
-    else:
-        ci = (slope, slope)
-    return slope, ci
+    slope = float(_slope(x, np.log(counts[keep] / k)[:, None])[0])
+    draws = _resampled_counts(counts[keep], k, as_generator(seed),
+                              _SMALL_BALL_BOOTSTRAPS)
+    draws = draws[draws.all(axis=1)]
+    return slope, _interval(_slope(x, np.log(draws.T / k)), slope)

@@ -77,6 +77,7 @@ class BranchTable:
     probs: np.ndarray    # (B,)
     mats: np.ndarray     # (M, d, d)
     sizes: np.ndarray    # (B,)
+    size_range: np.ndarray  # (2,), sizes.min() and .max() for every fold
     offsets: np.ndarray  # (B,)
     sums: np.ndarray     # (B, d, d)
     cols: np.ndarray     # (d, d, M)
@@ -92,6 +93,7 @@ class BranchTable:
         cdf = probs.cumsum()
         cdf /= cdf[-1]
         table = cls(probs=probs, mats=mats, sizes=sizes, offsets=offsets,
+                    size_range=np.array([sizes.min(), sizes.max()]),
                     sums=np.add.reduceat(mats, offsets, axis=0),
                     cols=mats.transpose(1, 2, 0).copy(), cdf=cdf)
         for a in vars(table).values():

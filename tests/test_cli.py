@@ -3,6 +3,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +236,70 @@ def test_diagnose_point_mass_resolves_no_tail(tmp_path):
     assert summary["a0_smallball"] is None
     assert summary["harmonic_table"]
     assert all(e["finite"] is None for e in summary["harmonic_table"].values())
+
+
+# a 3-dim i.i.d. model, N in {2, 3} and three mu-atoms scaled to a critical
+# mean
+_IID_MATS = np.random.default_rng(8).uniform(0.1, 1.0, size=(3, 3, 3))
+_IID_MATS /= 2.5 * np.abs(np.linalg.eigvals(_IID_MATS.mean(axis=0))).max()
+IID3_MODEL = {"kind": "IIDCoefficients", "dim": 3,
+              "n_law": [{"n": 2, "prob": 0.5}, {"n": 3, "prob": 0.5}],
+              "mu_atoms": [{"prob": 1 / 3, "matrix": m.tolist()}
+                           for m in _IID_MATS]}
+# a product whose rounding depends on whether the BLAS kernel fuses its
+# multiply-adds
+_FMA_PROBE = ("import hashlib, numpy as np; "
+              "a = np.random.default_rng(0).normal(size=(64, 64)); "
+              "print(hashlib.sha256((a @ a).tobytes()).hexdigest())")
+
+
+def _run_with_kernel(argv, kernel, cwd) -> str:
+    """stdout of `python argv` in a fresh interpreter that imports this
+    package, with OpenBLAS's kernel chosen by `kernel` (None: its own)."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    if kernel is not None:
+        env["OPENBLAS_CORETYPE"] = kernel
+    src = str(Path(sl.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_diagnose_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # the same pools diagnosed under three OpenBLAS kernels: every output
+    # file must be the same, byte for byte
+    kernels = (None, "Prescott", "SandyBridge")
+    probes = [_run_with_kernel(["-c", _FMA_PROBE], k, tmp_path)
+              for k in kernels]
+    if len(set(probes)) == 1:
+        pytest.skip("OPENBLAS_CORETYPE does not change how a BLAS product "
+                    "rounds here")
+    (tmp_path / "iid3.json").write_text(json.dumps(IID3_MODEL))
+    runs = {"ex2": (sl.example_model("ex2"), 20_000, 20),
+            "iid3.json": (sl.load_model(tmp_path / "iid3.json"), 4000, 20)}
+    for name, (spec, k, rounds) in runs.items():
+        pool, _ = sl.run_fixed_point(spec, k=k, rounds=rounds, seed=5)
+        sl.pool_to_csv(pool, tmp_path / f"{name}.csv")
+    outputs = []
+    for i, kernel in enumerate(kernels):
+        run = tmp_path / f"kernel{i}"
+        run.mkdir()
+        for name in runs:
+            model = name if name == "ex2" else f"../{name}"
+            _run_with_kernel(
+                ["-m", "smoothing_lab.cli", "diagnose", "--model", model,
+                 "--pool", f"../{name}.csv", "--seed", "13",
+                 "--out-prefix", name.split(".")[0]], kernel, run)
+        outputs.append({p.name: p.read_bytes() for p in run.iterdir()})
+    assert len(outputs[0]) == 8
+    summary = json.loads(outputs[0]["iid3_summary.json"])
+    assert summary["a_hat_ecf"] and summary["a0_smallball"]
+    for other in outputs[1:]:
+        assert other.keys() == outputs[0].keys()
+        assert [n for n in other if other[n] != outputs[0][n]] == []
 
 
 def test_check_exits_zero_on_examples(capsys):

@@ -1,3 +1,5 @@
+import functools
+import operator
 import tracemalloc
 
 import numpy as np
@@ -75,8 +77,12 @@ def test_transform_curve_matches_per_radius_exp(pool_ex2, dim, max_exp):
 
 
 def _unblocked_modulus(pool, probes, max_exp=14):
-    # one exp over the whole (K, P) phase array, squared in place
-    e = np.exp(1j * (pool.samples @ probes.T))
+    # one exp over the whole (K, P) phase array, squared in place; each
+    # phase adds its coordinate terms in index order
+    phases = pool.samples[:, :1] * probes[:, 0]
+    for j in range(1, pool.dim):
+        phases += pool.samples[:, j:j + 1] * probes[:, j]
+    e = np.exp(1j * phases)
     modulus = np.empty(max_exp + 1)
     for i in range(max_exp + 1):
         modulus[i] = np.abs(e.mean(axis=0)).max()
@@ -157,10 +163,19 @@ def test_decay_fit_half_slope():
     assert a_hat == pytest.approx(0.5, abs=0.05)
 
 
+def in_order_slope(x, y):
+    # sum (x - xbar)(y - ybar) / sum (x - xbar)^2, each sum added in index
+    # order
+    dx = x - x.mean()
+    dy = y - functools.reduce(operator.add, y) / y.size
+    return (functools.reduce(operator.add, dx * dy)
+            / functools.reduce(operator.add, dx * dx))
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_decay_fit_matches_per_resample_loop(seed):
-    # one (500, n) draw and one multi-column lstsq against a draw and a fit
-    # per resample: the same draws, so only the solver's rounding may differ
+    # one (500, n) draw and one slope per column against a draw and a fit
+    # per resample: the same draws and the same sums, so the same bits
     radii = 2.0 ** np.arange(0, 15)
     noise = np.random.default_rng(seed).normal(scale=0.2, size=radii.size)
     curve = sl.TransformCurve(
@@ -170,19 +185,34 @@ def test_decay_fit_matches_per_resample_loop(seed):
     a_hat, (lo, hi) = sl.decay_fit(curve, seed=seed)
 
     x, y = np.log(radii), np.log(curve.modulus)   # every radius is fitted
-    design = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
+    slope = in_order_slope(x, y)
+    resid = y - slope * x
+    resid -= resid.mean()
     rng = np.random.Generator(np.random.Philox(seed))  # as decay_fit seeds it
     boots = np.empty(500)
     for b in range(500):
-        yb = design @ coef + rng.choice(resid, size=resid.size, replace=True)
-        cb, *_ = np.linalg.lstsq(design, yb, rcond=None)
-        boots[b] = -cb[0]
+        # the slope is linear: a resample's is the fit's plus its residuals'
+        eb = rng.choice(resid, size=resid.size, replace=True)
+        boots[b] = -(slope + in_order_slope(x, eb))
     ref_lo, ref_hi = np.quantile(boots, [0.025, 0.975])
-    assert a_hat == -coef[0]
-    np.testing.assert_allclose(
-        [lo, hi], [min(ref_lo, a_hat), max(ref_hi, a_hat)], rtol=1e-12, atol=0)
+    assert a_hat == -slope
+    assert (lo, hi) == (min(ref_lo, a_hat), max(ref_hi, a_hat))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_closed_form_slope_matches_lstsq(seed):
+    # the in-order closed form against LAPACK's least-squares solve, on
+    # lines with slopes away from zero
+    rng = np.random.default_rng(seed)
+    n, m = rng.integers(5, 16), rng.integers(1, 501)
+    x = rng.uniform(0.0, 10.0, size=n)
+    slopes = rng.choice([-1, 1], size=m) * rng.uniform(0.2, 3.0, size=m)
+    y = (rng.normal(size=m) + slopes * x[:, None]
+         + rng.normal(scale=0.2, size=(n, m)))
+    design = np.vstack([x, np.ones_like(x)]).T
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    np.testing.assert_allclose(diagnostics._slope(x, y), coef[0],
+                               rtol=1e-12, atol=0)
 
 
 def test_decay_fit_insufficient():
@@ -263,14 +293,29 @@ def test_kill_counts_matches_reference_loop(name, request):
     for i, t in enumerate(probes):
         laws = [dict() for _ in deltas]
         for p, br in sl.explicit_atoms(spec):
-            vals = np.array([np.abs(a.T @ t).sum() for a in br])
+            # a^T t with its terms added in index order
+            vals = np.array([np.abs(functools.reduce(
+                operator.add, (t[j] * a[j] for j in range(t.size)))).sum()
+                for a in br])
             for law, dlt in zip(laws, deltas):
-                c = int((vals > max(dlt, 1e-12) * np.abs(t).sum()).sum())
+                c = int((vals > (dlt + 1e-12) * np.abs(t).sum()).sum())
                 law[c] = law.get(c, 0.0) + p
         assert [list(law.items()) for law in laws] == \
             [list(law.items()) for law in stats.counts[i]]
         means = [sum(k * q for k, q in law.items()) for law in laws]
         assert np.array_equal(stats.means[i], means)
+
+
+def test_kill_counts_at_an_exact_threshold(ex2):
+    # at delta = 0.1, the 0.25-scaled first base matrix A of ex2 has
+    # |A^T t| = delta |t| exactly for every t >= 0, and the second one at
+    # t = (1, 0): both are dead there, however the sums round, so the mean
+    # is 0.5 * 3 + 0.5 * 2 where t_1 > 0 and 0.5 * 3 + 0.5 * 1 at (1, 0)
+    probes = sl.sphere_grid(2, 128)
+    first = np.flatnonzero((probes >= 0).all(axis=1))
+    assert first.tolist() == list(range(33))
+    stats = sl.kill_counts(ex2, probes[first], np.array([0.1]))
+    assert stats.means[:, 0].tolist() == [2.0] + [2.5] * 32
 
 
 def test_largest_stable_delta(ex2):
