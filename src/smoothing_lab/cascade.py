@@ -5,16 +5,18 @@ every new sample is sum_i a_i z_i with a fresh branch draw and z_i resampled
 with replacement from the previous pool.  The tree sampler grows the
 weighted branching tree explicitly and is unbiased at finite depth for
 models whose mean matrix has unit spectral radius.  Both draw from the
-model's branch table and sum each parent's children by one slot fold: slot
-s gathers the s-th child and branch matrix of every parent that has one,
-and takes its rows through the table's `row` gather, into buffers that the
-caller keeps.  The pool round folds a block of parents at a time, and a
-forest is kept as narrow atom ids and tree offsets per level, drawn a block
-at a time with one kept float scratch; the martingale folds it leaves-up in
-that same scratch, its deep levels a block of whole trees at a time and the
-narrow levels above them once per forest, and survival_counts walks it
-depth first.  So the working sets are bounded by BLOCK_BYTES, not by k E[N]
-or by the widest level.
+model's branch table and sum each parent's children by one slot fold: slot s
+gathers the s-th child and branch matrix of every parent that has one, takes
+its rows through the table's `row` gather, into buffers that the caller
+keeps, and adds them to the parents' sums in slot order; the Perron start
+and the leaves' Y_b v are in-order too (`_contract`), so no BLAS kernel
+decides how a sample rounds.  The pool round folds a block of parents at a
+time, and a forest is kept as narrow atom ids and tree offsets per level,
+drawn a block at a time with one kept float scratch; the martingale folds it
+leaves-up in that same scratch, its deep levels a block of whole trees at a
+time and the narrow levels above them once per forest, and survival_counts
+walks it depth first.  So the working sets are bounded by BLOCK_BYTES, not
+by k E[N] or by the widest level.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from ._common import (
     spawn_generators,
 )
 from .errors import OutOfRange, SupercriticalBlowup
-from .matrices import pf_decompose, spectral_radius
+from .matrices import _contract, pf_decompose, spectral_radius
 from .models import BranchTable, ModelSpec, expected_n, mean_sum_matrix, mu_mean
 
 _TREE_CHUNK = 512
@@ -162,11 +164,10 @@ def _pool_scratch(table: BranchTable, d: int, k: int) -> np.ndarray:
 
 def _fold_width(table: BranchTable, d: int) -> int:
     """Scratch floats per parent of `_slot_fold`: three id columns, the
-    slot's child gather (d), two row terms, d rows of tail sums when a
-    branch has more than two matrices, and d rows of sums in branch-size
-    order when branch sizes differ."""
+    slot's child gather (d), two row terms, and d rows of sums in
+    branch-size order when branch sizes differ."""
     lo, hi = table.size_range
-    return 5 + d + d * int(hi > 2) + d * int(lo < hi)
+    return 5 + d + d * int(lo < hi)
 
 
 def _slot_fold(table: BranchTable, atom: np.ndarray, src: np.ndarray,
@@ -179,20 +180,18 @@ def _slot_fold(table: BranchTable, atom: np.ndarray, src: np.ndarray,
     Slot by slot: slot s reads its parents' child columns (a stride when
     every branch has the same size, else a gather into the scratch) and
     takes each row of their s-th matrices through BranchTable.row, so no
-    per-edge array is built.  A parent's terms are summed t0 + (t1 + ... +
-    t_{n-1}), which is np.add.reduceat's order for a branch of at most 8
-    matrices.  When branch sizes differ, the parents are taken in
-    decreasing branch size, so each slot's parents are a prefix and its
-    work is its edges.  Every temporary of parent size but that order and
-    the `index` gather is carved from `scratch`, `_fold_width` floats per
-    parent.
+    per-edge array is built.  Each slot's term is added to its parent's sum
+    in slot order, t0 + t1 + ... + t_{n-1}.  When branch sizes differ, the
+    parents are taken in decreasing branch size, so each slot's parents are
+    a prefix and its work is its edges.  Every temporary of parent size but
+    that order and the `index` gather is carved from `scratch`,
+    `_fold_width` floats per parent.
     """
     d, n = out.shape
     lo, hi = table.size_range
     start, first, ids = scratch[:3 * n].view(np.int64).reshape(3, n)
     child = scratch[3 * n:(3 + d) * n]
     terms = scratch[(3 + d) * n:(5 + d) * n].reshape(2, n)
-    rows = scratch[(5 + d) * n:_fold_width(table, d) * n].reshape(-1, n)
     table.offsets.take(atom, out=first, mode="clip")
     acc, order = out, None
     if lo < hi:
@@ -207,8 +206,7 @@ def _slot_fold(table: BranchTable, atom: np.ndarray, src: np.ndarray,
         start, ids = ids, start
         np.take(first, order, out=ids)
         first, ids = ids, first
-        acc = rows[-d:]
-    tail = rows[:d]                     # t1 + ... + t_{n-1}, when n > 2
+        acc = scratch[(5 + d) * n:(5 + 2 * d) * n].reshape(d, n)
     for s in range(hi):
         if order is None:               # edge s of parent p is hi p + s
             m, edges = n, slice(s, None, hi)
@@ -225,14 +223,8 @@ def _slot_fold(table: BranchTable, atom: np.ndarray, src: np.ndarray,
         for i in range(d):
             if s == 0:
                 table.row(i, at, x, acc[i], term)
-            elif s == 1 and hi > 2:
-                table.row(i, at, x, tail[i, :m], term)
             else:
-                t = table.row(i, at, x, term, spare)
-                (acc if hi == 2 else tail)[i, :m] += t
-    if hi > 2:
-        m = n if order is None else int(takers[1])
-        acc[:, :m] += tail[:, :m]
+                acc[i, :m] += table.row(i, at, x, term, spare)
     if order is not None:
         out[:, order] = acc
 
@@ -376,7 +368,7 @@ def martingale_samples(spec: ModelSpec, depth: int, trials: int,
     if depth == 0:
         return np.tile(v, (trials, 1))
     table = spec.branch_table
-    leaf_sums = (table.sums @ v).T.copy()         # column b is Y_b v
+    leaf_sums = _contract(table.sums, v[:, None])[..., 0].T.copy()  # Y_b v
     out = np.empty((trials, spec.dim))
     scratch = None
     n_chunks = (trials + _TREE_CHUNK - 1) // _TREE_CHUNK

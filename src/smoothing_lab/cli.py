@@ -37,15 +37,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _load_model_arg(arg: str) -> tuple:
-    if arg in EXAMPLE_NAMES:
-        path = example_path(arg)
-    else:
-        path = Path(arg)
-        if not path.exists():
-            raise ValueError(f"model file not found: {arg}")
+def _load_model_arg(arg: str):
+    path = example_path(arg) if arg in EXAMPLE_NAMES else Path(arg)
+    if not path.exists():
+        raise ValueError(f"model file not found: {arg}")
     try:
-        return load_model(path), str(path)
+        return load_model(path)
     except ValueError as exc:  # malformed JSON or a malformed model
         raise ValueError(f"invalid model file {path}: {exc}") from exc
 
@@ -84,16 +81,16 @@ def _appended(path, suffix: str) -> Path:
     return path.with_name(path.name + suffix)
 
 
-def _manifest(args, model_path: str, outputs, **extra) -> tuple:
+def _manifest(args, outputs, **extra) -> tuple:
     """(path, text) of <--out or --out-prefix>.manifest.json: every parsed
-    argument, with the command, model and seed under keys of their own, plus
-    `extra`.  The manifest is written last, after every output."""
+    argument, the command, model as given and seed under keys of their own,
+    plus `extra`.  The manifest is written last, after every output."""
     given = vars(args)
     parameters = {k: v for k, v in given.items()
                   if k not in ("func", "command", "model", "seed")}
     path = _appended(given.get("out") or given["out_prefix"], ".manifest.json")
     return _json_text(path, {
-        "command": args.command, "model_path": model_path,
+        "command": args.command, "model": args.model,
         "seed": given.get("seed"), "parameters": {**parameters, **extra},
         "output_paths": [str(p) for p in outputs], "tool_version": __version__,
     })
@@ -117,7 +114,7 @@ def _parse_vector(text: str) -> np.ndarray:
 def cmd_simulate(args) -> int:
     from .cascade import heavy_tail_pool, pool_to_csv, run_fixed_point
 
-    spec, model_path = _load_model_arg(args.model)
+    spec = _load_model_arg(args.model)
     initial_pool = None
     init = None
     if args.init_tail_index is not None:
@@ -131,7 +128,7 @@ def cmd_simulate(args) -> int:
         spec, k=args.k, rounds=args.rounds, init=init, seed=args.seed,
         initial_pool=initial_pool,
     )
-    manifest = _manifest(args, model_path, [args.out],
+    manifest = _manifest(args, [args.out],
                          mean_norm_history=[float(h) for h in history])
     pool_to_csv(pool, args.out)
     _write_texts([manifest])
@@ -141,7 +138,7 @@ def cmd_simulate(args) -> int:
 def cmd_spectrum(args) -> int:
     from .spectral import spectral_profile
 
-    spec, model_path = _load_model_arg(args.model)
+    spec = _load_model_arg(args.model)
     s_grid = None
     if args.s_grid:
         s_grid = _parse_vector(args.s_grid)
@@ -165,7 +162,7 @@ def cmd_spectrum(args) -> int:
             "a0": profile.a0,
         }),
     ]
-    _write_texts(texts + [_manifest(args, model_path, [p for p, _ in texts])])
+    _write_texts(texts + [_manifest(args, [p for p, _ in texts])])
     return 0
 
 
@@ -175,7 +172,7 @@ def cmd_support(args) -> int:
                           lambda_set, lambda_stability,
                           search_radius_witnesses)
 
-    spec, model_path = _load_model_arg(args.model)
+    spec = _load_model_arg(args.model)
     enum = enumerate_semigroup(spec, args.length)
     dirs = lambda_set(enum)
     payload = {
@@ -209,7 +206,7 @@ def cmd_support(args) -> int:
             "certificate": witness.describe(),
         }
     _write_texts([_json_text(args.out, payload),
-                  _manifest(args, model_path, [args.out])])
+                  _manifest(args, [args.out])])
     return 0
 
 
@@ -219,7 +216,7 @@ def cmd_diagnose(args) -> int:
                               small_ball_exponent, sphere_grid,
                               transform_curve)
 
-    spec, model_path = _load_model_arg(args.model)
+    spec = _load_model_arg(args.model)
     pool = pool_from_csv(args.pool)
     if pool.dim != spec.dim:
         raise ValueError("pool dimension does not match the model")
@@ -264,7 +261,7 @@ def cmd_diagnose(args) -> int:
                   kc_rows),
         _json_text(_appended(args.out_prefix, "_summary.json"), summary),
     ]
-    _write_texts(texts + [_manifest(args, model_path, [p for p, _ in texts])])
+    _write_texts(texts + [_manifest(args, [p for p, _ in texts])])
     return 0
 
 
@@ -275,7 +272,7 @@ def cmd_check(args) -> int:
     from .support import (check_allowability, check_positivity,
                           search_radius_witnesses)
 
-    spec, _ = _load_model_arg(args.model)
+    spec = _load_model_arg(args.model)
     fk_holds, fk_c = check_furstenberg_kesten(spec)
     res = search_radius_witnesses(spec)
     probes = sphere_grid(spec.dim, args.grid)

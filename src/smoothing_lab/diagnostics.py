@@ -3,8 +3,9 @@ that drive characteristic-function decay.
 
 All estimators are folds over a sample pool in a fixed order of numpy
 operations, so no BLAS or LAPACK kernel decides how they round: products
-add their terms in index order (`_contract`), both tail fits share one
-closed-form slope (`_slope`) and the transform curve adds in pool order.
+add their terms in index order (`matrices._contract`, as the samplers do),
+both tail fits share one closed-form slope (`_slope`) and the transform
+curve adds in pool order.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from . import _common
 from ._common import as_generator
 from .cascade import ZERO_TOL
 from .errors import EmptyTail, InsufficientDecay, OutOfRange
+from .matrices import _contract
 from .models import ModelSpec
 
 _PROBE_STREAM = 0xD1A6005E
@@ -28,16 +30,6 @@ _SMALL_BALL_BOOTSTRAPS = 60
 # squarings of exp(i x) is 9.1e-6 at k = 36, 1.4e-4 at 40, 3.8e-2 at 48
 # and 1.3e4 at 56, where the curve would read moduli far above 1
 _MAX_EXP = 36
-
-
-def _contract(a, b) -> np.ndarray:
-    """The matrix product of a and b over their last two axes, the leading
-    axes broadcast, with each entry's terms added in index order:
-    a[..., :, 0] b[..., 0, :] + a[..., :, 1] b[..., 1, :] + ..."""
-    out = a[..., :, :1] * b[..., :1, :]
-    for j in range(1, a.shape[-1]):
-        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
-    return out
 
 
 def _slope(x, y) -> np.ndarray:

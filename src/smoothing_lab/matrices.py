@@ -58,6 +58,18 @@ def spectral_radius(a) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
+def _contract(a, b) -> np.ndarray:
+    """The matrix product of a and b over their last two axes, the leading
+    axes broadcast, with each entry's terms added in index order:
+    a[..., :, 0] b[..., 0, :] + a[..., :, 1] b[..., 1, :] + ...: the one
+    product behind sampled and diagnosed numbers, so no BLAS kernel rounds
+    them."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
+    return out
+
+
 def _pattern_closure(mats):
     """Zero patterns (a > 0) of all products of `mats`, each yielded once,
     shortest words first: a semigroup of at most 2^(d^2) patterns, each new
@@ -98,7 +110,8 @@ def pf_decompose(a) -> np.ndarray:
     """Perron direction of a primitive nonnegative matrix: its unit-L1
     right eigenvector for the spectral radius.
 
-    Deterministic: power iteration from the uniform direction.
+    Deterministic: power iteration from the uniform direction, by
+    `_contract`, so the direction does not depend on the BLAS kernel.
 
     Raises NotPrimitive when no power of a is strictly positive (identity,
     permutations, the zero matrix).
@@ -106,7 +119,8 @@ def pf_decompose(a) -> np.ndarray:
     a = check_nonneg_matrix(a)
     if not is_primitive(a):
         raise NotPrimitive("no power of the matrix is strictly positive")
-    return _power_direction(lambda v: a @ v, a.shape[0], _PF_TOL, _PF_MAX_ITER)
+    return _power_direction(lambda v: _contract(a, v[:, None])[:, 0],
+                            a.shape[0], _PF_TOL, _PF_MAX_ITER)
 
 
 def hennion_distance(x, y) -> float:

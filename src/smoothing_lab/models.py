@@ -71,8 +71,9 @@ class BranchTable:
     sums[b].  cols[i, j] = mats[:, i, j] is the entry stack that `row`, the
     one gather of branch-matrix rows, reads: the chain step calls it on its
     own, and the slot fold of a pool round and a tree level once per slot
-    and row.  cdf holds the normalised cumulative probabilities that `draw`
-    inverts.  The arrays are read-only, since every reader shares them."""
+    and row, adding in slot order as sums[b] does.  cdf holds the normalised
+    cumulative probabilities that `draw` inverts.  The arrays are read-only,
+    since every reader shares them."""
 
     probs: np.ndarray    # (B,)
     mats: np.ndarray     # (M, d, d)
@@ -92,10 +93,12 @@ class BranchTable:
         probs = np.array([p for p, _ in atoms])
         cdf = probs.cumsum()
         cdf /= cdf[-1]
+        sums = mats[offsets]            # each branch added in slot order
+        for s in range(1, sizes.max()):
+            sums[sizes > s] += mats[offsets[sizes > s] + s]
         table = cls(probs=probs, mats=mats, sizes=sizes, offsets=offsets,
                     size_range=np.array([sizes.min(), sizes.max()]),
-                    sums=np.add.reduceat(mats, offsets, axis=0),
-                    cols=mats.transpose(1, 2, 0).copy(), cdf=cdf)
+                    sums=sums, cols=mats.transpose(1, 2, 0).copy(), cdf=cdf)
         for a in vars(table).values():
             a.flags.writeable = False
         return table

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import smoothing_lab as sl
-from smoothing_lab import _common, cascade
+from smoothing_lab import _common, cascade, matrices
 from smoothing_lab._common import as_generator, spawn_generators
 from smoothing_lab.errors import (
     BudgetExceeded,
@@ -107,8 +107,8 @@ def mixed_spec(d, seed, critical=False):
 @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "mixed-1", "mixed-2",
                                   "mixed-3", "mixed-4"])
 def test_pool_round_matches_edge_fold(name, request, monkeypatch):
-    # the slot fold sums each branch in reduceat's order, so a round is the
-    # edge fold's bit for bit, whatever the block
+    # the slot fold adds each branch's terms in edge order, so a round is
+    # the edge fold's bit for bit, whatever the block
     if name.startswith("mixed"):
         spec = mixed_spec(int(name[-1]), seed=int(name[-1]))
     else:
@@ -123,10 +123,9 @@ def test_pool_round_matches_edge_fold(name, request, monkeypatch):
 
 
 def test_long_branches_stay_within_the_summation_bound():
-    # past 8 matrices reduceat sums a branch's tail pairwise and the slot
-    # fold in order; both add the same nonnegative terms, n - 1 additions
-    # that each round by under one ulp of the total, so they differ by at
-    # most 2 (n - 1) ulp
+    # past 8 matrices a pairwise sum would regroup a branch's terms; the
+    # slot fold and the edge fold both add them in edge order, so they
+    # agree bit for bit however long the branch
     rng = np.random.default_rng(5)
     spec = sl.ModelSpec(dim=2, atoms=tuple(
         (0.25, tuple(rng.uniform(0.1, 1.0, (n, 2, 2))))
@@ -135,7 +134,7 @@ def test_long_branches_stay_within_the_summation_bound():
     for seed in range(3):
         new = sl.iterate_pool(spec, pool, seed=seed).samples
         ref = edge_pool_round(spec, pool, seed)
-        assert np.all(np.abs(new - ref) <= 2 * (16 - 1) * np.spacing(ref))
+        assert np.array_equal(new, ref)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -358,7 +357,8 @@ def edge_fold(table, atom, child):
     slot fold, kept as its reference.  Each edge's matrix id is one more
     than the one before it, except at a parent's first edge, which starts
     that atom's branch, so the ids are the running sum of those steps; each
-    row's edge products are summed per parent by np.add.reduceat."""
+    row's edge products are added to their parent's sum in edge order by
+    the unbuffered np.add.at."""
     counts = table.sizes[atom]
     starts = np.cumsum(counts) - counts
     ids = np.ones(starts[-1] + counts[-1], dtype=np.int64)
@@ -366,8 +366,11 @@ def edge_fold(table, atom, child):
     ids[0] = first[0]
     ids[starts[1:]] = first[1:] - first[:-1] - counts[:-1] + 1
     np.cumsum(ids, out=ids)
-    return np.stack([np.add.reduceat(table.row(i, ids, child), starts)
-                     for i in range(child.shape[0])])
+    parent = np.repeat(np.arange(atom.size), counts)
+    out = np.zeros((child.shape[0], atom.size))
+    for i, row in enumerate(out):
+        np.add.at(row, parent, table.row(i, ids, child))
+    return out
 
 
 def edge_pool_round(spec, pool, seed):
@@ -384,7 +387,8 @@ def whole_chunk_martingale(spec, depth, trials, seed):
     """The martingale with each chunk's levels folded whole, leaves up, by
     the edge fold: the reference the slot fold must match bit for bit."""
     table = spec.branch_table
-    leaf_sums = (table.sums @ sl.pf_decompose(sl.mean_sum_matrix(spec))).T
+    v = sl.pf_decompose(sl.mean_sum_matrix(spec))
+    leaf_sums = matrices._contract(table.sums, v[:, None])[..., 0].T
     size = cascade._TREE_CHUNK
     out = []
     for rng in spawn_generators(seed, -(-trials // size)):
@@ -399,7 +403,7 @@ def whole_chunk_martingale(spec, depth, trials, seed):
 
 # BLOCK_BYTES // 8 nodes per draw block, drawn in a scratch of
 # BLOCK_BYTES // 4 floats.  The fold takes 11 floats per deepest parent
-# (ex1; 13 for ex2 and ex3), folds the levels below `top`, the deepest
+# (ex1 and ex2; 13 for ex3), folds the levels below `top`, the deepest
 # parent level whose whole width fits the scratch, a block of whole trees
 # at a time beside it, and the levels above it once per chunk.  An ex1 tree
 # has 1024 deepest parents at depth 12: 16 * 1500 grows the scratch to one

@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import io
@@ -268,15 +269,20 @@ def _run_with_kernel(argv, kernel, cwd) -> str:
     return proc.stdout
 
 
+KERNELS = (None, "Prescott", "SandyBridge")
+
+
+def _skip_unless_kernels_differ(cwd) -> None:
+    probes = {_run_with_kernel(["-c", _FMA_PROBE], k, cwd) for k in KERNELS}
+    if len(probes) == 1:
+        pytest.skip("OPENBLAS_CORETYPE does not change how a BLAS product "
+                    "rounds here")
+
+
 def test_diagnose_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
     # the same pools diagnosed under three OpenBLAS kernels: every output
     # file must be the same, byte for byte
-    kernels = (None, "Prescott", "SandyBridge")
-    probes = [_run_with_kernel(["-c", _FMA_PROBE], k, tmp_path)
-              for k in kernels]
-    if len(set(probes)) == 1:
-        pytest.skip("OPENBLAS_CORETYPE does not change how a BLAS product "
-                    "rounds here")
+    _skip_unless_kernels_differ(tmp_path)
     (tmp_path / "iid3.json").write_text(json.dumps(IID3_MODEL))
     runs = {"ex2": (sl.example_model("ex2"), 20_000, 20),
             "iid3.json": (sl.load_model(tmp_path / "iid3.json"), 4000, 20)}
@@ -284,7 +290,7 @@ def test_diagnose_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
         pool, _ = sl.run_fixed_point(spec, k=k, rounds=rounds, seed=5)
         sl.pool_to_csv(pool, tmp_path / f"{name}.csv")
     outputs = []
-    for i, kernel in enumerate(kernels):
+    for i, kernel in enumerate(KERNELS):
         run = tmp_path / f"kernel{i}"
         run.mkdir()
         for name in runs:
@@ -300,6 +306,84 @@ def test_diagnose_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
     for other in outputs[1:]:
         assert other.keys() == outputs[0].keys()
         assert [n for n in other if other[n] != outputs[0][n]] == []
+
+
+# a 3-dim model shaped like the benchmark's gen-sing3, 1/4 [B0], 1/4 [B1],
+# 1/2 [B0, B1, B2]: branches of one and three matrices, scaled to a
+# critical mean, so that it has a tree martingale
+_SING_MATS = np.random.default_rng(9).uniform(0.05, 1.0, size=(3, 3, 3))
+_SING_ATOMS = ((0.25, (0,)), (0.25, (1,)), (0.5, (0, 1, 2)))
+_SING_MATS /= np.abs(np.linalg.eigvals(sum(
+    p * _SING_MATS[list(ids)].sum(axis=0) for p, ids in _SING_ATOMS))).max()
+SING3_MODEL = {"kind": "ExplicitAtoms", "dim": 3,
+               "atoms": [{"prob": p, "branch": [_SING_MATS[i].tolist()
+                                                for i in ids]}
+                         for p, ids in _SING_ATOMS]}
+_MARTINGALE = ("import numpy as np, smoothing_lab as sl; "
+               "np.save('sing3_martingale.npy', sl.martingale_samples("
+               "sl.load_model('../sing3.json'), 6, 256, seed=5))")
+
+
+def test_pool_and_tree_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # simulate's pools, whose Perron start and fold are sums of products,
+    # and a martingale, whose leaves are Y_b v, under three OpenBLAS
+    # kernels: every output file must be the same, byte for byte
+    _skip_unless_kernels_differ(tmp_path)
+    for name, model in (("iid3", IID3_MODEL), ("sing3", SING3_MODEL)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(model))
+    outputs = []
+    for i, kernel in enumerate(KERNELS):
+        run = tmp_path / f"kernel{i}"
+        run.mkdir()
+        for name in ("iid3", "sing3"):
+            _run_with_kernel(
+                ["-m", "smoothing_lab.cli", "simulate", "--model",
+                 f"../{name}.json", "--k", "5000", "--rounds", "10",
+                 "--seed", "5", "--out", f"{name}.csv"], kernel, run)
+        _run_with_kernel(["-c", _MARTINGALE], kernel, run)
+        outputs.append({p.name: p.read_bytes() for p in run.iterdir()})
+    assert sorted(outputs[0]) == [
+        "iid3.csv", "iid3.csv.manifest.json", "sing3.csv",
+        "sing3.csv.manifest.json", "sing3_martingale.npy"]
+    for other in outputs[1:]:
+        assert other.keys() == outputs[0].keys()
+        assert [n for n in other if other[n] != outputs[0][n]] == []
+
+
+# the functions whose floats reach a pool, tree or diagnose byte, by module
+# (None: all of it).  survival_counts and _alive_counts are left out: their
+# outputs are integer counts of nonzero products
+IN_ORDER_CODE = {
+    "diagnostics": None,
+    "cascade": ("iterate_pool", "run_fixed_point", "heavy_tail_pool",
+                "_slot_fold", "_grow_forest", "_fold_forest",
+                "martingale_samples"),
+    "matrices": ("pf_decompose", "_power_direction", "_contract"),
+}
+BLAS_NAMES = {"matmul", "dot", "einsum", "inner", "tensordot", "linalg"}
+
+
+def test_sampled_and_diagnosed_numbers_take_no_blas_product():
+    # the static half of the kernel tests above, which skip where the
+    # kernels round alike: no `@`, BLAS-backed numpy call or np.linalg in
+    # the code that makes those numbers
+    found = []
+    for module, names in IN_ORDER_CODE.items():
+        tree = ast.parse(Path(sl.__file__).with_name(f"{module}.py")
+                         .read_text(encoding="utf-8"))
+        roots = [tree] if names is None else [
+            node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in names]
+        assert names is None or sorted(r.name for r in roots) == sorted(names)
+        for node in (n for root in roots for n in ast.walk(root)):
+            if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.MatMult)
+                    or isinstance(node, ast.Attribute)
+                    and node.attr in BLAS_NAMES
+                    or isinstance(node, ast.ImportFrom)
+                    and "linalg" in (node.module or "")):
+                found.append(f"{module}.py:{node.lineno}")
+    assert found == []
 
 
 def test_check_exits_zero_on_examples(capsys):
@@ -724,6 +808,20 @@ def test_manifest_records_every_argument(tmp_path, monkeypatch, command):
         names.add("mean_norm_history")
     assert set(manifest["parameters"]) == names
     assert manifest["command"] == command
+
+
+def test_manifest_records_the_model_as_given(tmp_path, monkeypatch):
+    # a bundled name and a path are written as typed, not resolved, so one
+    # run's manifest does not depend on where the package lives
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "models").mkdir()
+    (tmp_path / "models" / "m.json").write_text(json.dumps(POINT_MASS_MODEL))
+    for model, out in (("ex1", "a.csv"), ("models/m.json", "b.csv")):
+        assert main(["simulate", "--model", model, "--k", "10", "--rounds",
+                     "1", "--seed", "1", "--out", out]) == 0
+        manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
+        assert manifest["model"] == model
+        assert "model_path" not in manifest
 
 
 def _reject_constant(name):

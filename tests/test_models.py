@@ -190,6 +190,22 @@ def test_branch_table_entry_stack(ex2, ex3):
             table.cols[0, 0, 0] = 1.0
 
 
+def test_branch_sums_add_in_slot_order():
+    # Y_b = ((m0 + m1) + m2) + ..., the order in which the slot fold adds a
+    # branch, for branches shorter and longer than a pairwise block of 8
+    rng = np.random.default_rng(3)
+    atoms = [(0.25, list(rng.uniform(0.1, 1.0, (n, 3, 3))
+                         * 10.0 ** rng.uniform(-4, 4, (n, 1, 1))))
+             for n in (1, 3, 9, 16)]
+    want = []
+    for _, branch in atoms:
+        total = branch[0].copy()
+        for m in branch[1:]:
+            total += m
+        want.append(total)
+    assert np.array_equal(BranchTable.compile(atoms).sums, np.stack(want))
+
+
 def test_validation_rejects_bad_specs():
     with pytest.raises(ValueError):  # probabilities must sum to one
         sl.ModelSpec(dim=2, atoms=((0.5, (A1,)), (0.4, (A2, A2))))
